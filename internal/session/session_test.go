@@ -3,6 +3,8 @@ package session
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -87,7 +89,8 @@ func mustEqualCold(t *testing.T, s *Session, cfg core.Config, when string) {
 
 // TestSessionFastPathEquivalence drives a session through fast-path
 // replaces and checks byte-identity with a cold analysis of the
-// concatenated text after every step, at parallelism 1 and 4.
+// concatenated text after every step, at parallelism 1 and 4, on the
+// two-chain program and on the recursion program.
 func TestSessionFastPathEquivalence(t *testing.T) {
 	for _, par := range []int{1, 4} {
 		t.Run(fmt.Sprintf("par%d", par), func(t *testing.T) {
@@ -153,6 +156,45 @@ func TestSessionFastPathEquivalence(t *testing.T) {
 			if st.ContextHits == 0 {
 				t.Fatalf("no value-context replays across edits: %+v", st)
 			}
+		})
+	}
+	recursion, err := os.ReadFile(filepath.Join("..", "core", "testdata", "recursion.f"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, par := range []int{1, 4} {
+		t.Run(fmt.Sprintf("recursion/par%d", par), func(t *testing.T) {
+			cfg := testConfig(par)
+			s, err := Open(context.Background(), "recursion.f", string(recursion), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustEqualCold(t, s, cfg, "after open")
+
+			// STRIDE (unit 5) feeds the EVEN/ODD cycle through its return
+			// jump function: the blast radius is STRIDE, EVEN, ODD, DRIVER
+			// and MAIN, and only the self-recursive FACT is reused.
+			stride := strings.Replace(s.units[5], "S = K - 1", "S = K - 2", 1)
+			info, err := s.Apply(context.Background(), []Edit{{Op: OpReplace, Index: 5, Text: stride}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !info.FastPath || info.UnitsInvalidated != 5 || info.JumpReused != 1 {
+				t.Fatalf("STRIDE edit: %+v, want fast path, 5 invalidated, 1 reused", info)
+			}
+			mustEqualCold(t, s, cfg, "after STRIDE edit")
+
+			// FACT (unit 2) calls only itself: its blast radius is FACT,
+			// DRIVER and MAIN.
+			fact := strings.Replace(s.units[2], "F = N * G", "F = N * G + 1", 1)
+			info, err = s.Apply(context.Background(), []Edit{{Op: OpReplace, Index: 2, Text: fact}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !info.FastPath || info.UnitsInvalidated != 3 || info.JumpReused != 3 {
+				t.Fatalf("FACT edit: %+v, want fast path, 3 invalidated, 3 reused", info)
+			}
+			mustEqualCold(t, s, cfg, "after FACT edit")
 		})
 	}
 }

@@ -23,25 +23,25 @@ func analyzeCachedAt(t *testing.T, cache *Cache, name, src string, cfg Config, p
 }
 
 // TestCacheEquivalence is the incremental-analysis correctness gate:
-// for every suite program, every jump-function kind, both solvers, and
-// serial and parallel pipelines, the cached analysis — both the cold
-// run that populates the cache and the warm run that reuses every
-// artifact — must be byte-identical to the uncached one.
+// for every suite program and the recursion program, every
+// jump-function kind, both solvers, and serial and parallel pipelines,
+// the cached analysis — both the cold run that populates the cache and
+// the warm run that reuses every artifact — must be byte-identical to
+// the uncached one.
 func TestCacheEquivalence(t *testing.T) {
 	kinds := []Kind{Literal, Intraprocedural, PassThrough, Polynomial}
 	solvers := []Solver{Worklist, BindingGraph}
-	for _, spec := range suite.Programs() {
-		src := suite.Source(spec)
+	for _, prog := range equivalencePrograms(t) {
 		for _, kind := range kinds {
 			for _, solver := range solvers {
 				for _, par := range []int{1, 4} {
 					cfg := Config{Kind: kind, UseMOD: true, UseReturnJFs: true, Solver: solver}
-					name := fmt.Sprintf("%s/%v/%v/p%d", spec.Name, kind, solver, par)
+					name := fmt.Sprintf("%s/%v/%v/p%d", prog.name, kind, solver, par)
 					t.Run(name, func(t *testing.T) {
-						want := analyzeAt(t, spec.Name+".f", src, cfg, par)
+						want := analyzeAt(t, prog.name+".f", prog.src, cfg, par)
 						cache := NewCache(CacheOptions{})
-						cold := analyzeCachedAt(t, cache, spec.Name+".f", src, cfg, par)
-						warm := analyzeCachedAt(t, cache, spec.Name+".f", src, cfg, par)
+						cold := analyzeCachedAt(t, cache, prog.name+".f", prog.src, cfg, par)
+						warm := analyzeCachedAt(t, cache, prog.name+".f", prog.src, cfg, par)
 						if cold != want {
 							t.Errorf("cold cached output diverges from uncached\nuncached:\n%s\ncached:\n%s", want, cold)
 						}

@@ -2,6 +2,8 @@ package ipcp
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -9,6 +11,28 @@ import (
 
 	"repro/internal/suite"
 )
+
+// equivalenceProgram is one program the equivalence gates run over.
+type equivalenceProgram struct {
+	name, src string
+}
+
+// equivalencePrograms returns the suite programs followed by the
+// curated recursion program: no suite program has a recursive
+// procedure, and recursive procedures are the ones the jump-function
+// builder summarizes differently.
+func equivalencePrograms(t *testing.T) []equivalenceProgram {
+	t.Helper()
+	var out []equivalenceProgram
+	for _, spec := range suite.Programs() {
+		out = append(out, equivalenceProgram{spec.Name, suite.Source(spec)})
+	}
+	src, err := os.ReadFile(filepath.Join("..", "internal", "core", "testdata", "recursion.f"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(out, equivalenceProgram{"recursion", string(src)})
+}
 
 // fingerprint renders every externally observable facet of a Result as
 // one string, so two analyses can be compared byte for byte: the
@@ -62,19 +86,19 @@ func analyzeAt(t *testing.T, name, src string, cfg Config, parallelism int) stri
 }
 
 // TestParallelMatchesSerial is the determinism gate for the parallel
-// pipeline: for every suite program under all four jump-function kinds,
+// pipeline: for every suite program and the recursion program under all
+// four jump-function kinds,
 // an analysis with a worker pool must be byte-identical to the serial
 // one — same constants, same substitutions, same rendered jump
 // functions, same transformed source, same solver statistics.
 func TestParallelMatchesSerial(t *testing.T) {
 	kinds := []Kind{Literal, Intraprocedural, PassThrough, Polynomial}
-	for _, spec := range suite.Programs() {
-		src := suite.Source(spec)
+	for _, prog := range equivalencePrograms(t) {
 		for _, kind := range kinds {
 			cfg := Config{Kind: kind, UseMOD: true, UseReturnJFs: true}
-			t.Run(fmt.Sprintf("%s/%v", spec.Name, kind), func(t *testing.T) {
-				serial := analyzeAt(t, spec.Name+".f", src, cfg, 1)
-				parallel := analyzeAt(t, spec.Name+".f", src, cfg, 4)
+			t.Run(fmt.Sprintf("%s/%v", prog.name, kind), func(t *testing.T) {
+				serial := analyzeAt(t, prog.name+".f", prog.src, cfg, 1)
+				parallel := analyzeAt(t, prog.name+".f", prog.src, cfg, 4)
 				if serial != parallel {
 					t.Errorf("parallel output diverges from serial\nserial:\n%s\nparallel:\n%s", serial, parallel)
 				}
