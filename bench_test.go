@@ -152,7 +152,7 @@ func BenchmarkJumpFunctionConstruction(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				sb := symbolic.NewBuilder()
-				fns, err := jump.Build(nil, cg, mod, sb, jump.Config{Kind: kind, UseMOD: true, UseReturnJFs: true}, nil)
+				fns, err := jump.Build(nil, cg, mod, ssa.NewTable(cg, mod.Kills), sb, jump.Config{Kind: kind, UseMOD: true, UseReturnJFs: true}, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

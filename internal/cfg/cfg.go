@@ -13,6 +13,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/arena"
 	"repro/internal/ast"
 	"repro/internal/sem"
 	"repro/internal/source"
@@ -226,28 +227,10 @@ type builder struct {
 	blkSlab    []*Block
 }
 
-// grownChunk sizes the next slab chunk for a builder arena: first on
-// an empty arena, then doubling the previous chunk up to max. Builders
-// are per-procedure and most procedures are small, so starting small
-// matters: a finished Graph pins every chunk its nodes live in (an
-// incremental cache retains CFGs long after the builder is gone), and
-// fixed large chunks would make tiny procedures retain mostly slack.
-// Doubling keeps the chunk count — and so the allocation count —
-// logarithmic in procedure size.
-func grownChunk(cur, first, max int) int {
-	if cur == 0 {
-		return first
-	}
-	if n := 2 * cur; n < max {
-		return n
-	}
-	return max
-}
-
 // newInstr allocates an instruction from the arena.
 func (b *builder) newInstr(in Instr) *Instr {
 	if len(b.instrArena) == cap(b.instrArena) {
-		b.instrArena = make([]Instr, 0, grownChunk(cap(b.instrArena), 16, 256))
+		b.instrArena = make([]Instr, 0, arena.NextChunk(cap(b.instrArena), 16, 256))
 	}
 	b.instrArena = append(b.instrArena, in)
 	return &b.instrArena[len(b.instrArena)-1]
@@ -260,7 +243,7 @@ func (b *builder) newInstr(in Instr) *Instr {
 func (b *builder) edgeAppend(s []*Block, x *Block) []*Block {
 	if s == nil {
 		if len(b.blkSlab)+2 > cap(b.blkSlab) {
-			b.blkSlab = make([]*Block, 0, grownChunk(cap(b.blkSlab), 32, 512))
+			b.blkSlab = make([]*Block, 0, arena.NextChunk(cap(b.blkSlab), 32, 512))
 		}
 		lo := len(b.blkSlab)
 		b.blkSlab = b.blkSlab[:lo+2]
@@ -613,7 +596,7 @@ func (b *builder) assemble() *Graph {
 	blockAt := make([]*Block, len(b.ops)+1)
 	newBlock := func() *Block {
 		if len(b.blockArena) == cap(b.blockArena) {
-			b.blockArena = make([]Block, 0, grownChunk(cap(b.blockArena), 8, 128))
+			b.blockArena = make([]Block, 0, arena.NextChunk(cap(b.blockArena), 8, 128))
 		}
 		b.blockArena = b.blockArena[:len(b.blockArena)+1]
 		blk := &b.blockArena[len(b.blockArena)-1]

@@ -207,8 +207,11 @@ type Analysis struct {
 	Warnings []Warning
 
 	builder *symbolic.Builder
-	chk     *guard.Checker
-	dom     domain.Domain // resolved domain; never nil
+	// forms holds the attempt's SSA forms, shared by every jump-function
+	// round, dead-code counting and substitution.
+	forms *ssa.Table
+	chk   *guard.Checker
+	dom   domain.Domain // resolved domain; never nil
 }
 
 // Domain returns the analysis's resolved abstract domain (never nil;
@@ -380,8 +383,18 @@ func runGraph(ctx context.Context, s *attemptState) error {
 		s.a.Graph = callgraph.Build(s.prog)
 		s.a.Mod = modref.Compute(s.a.Graph)
 	}
+	s.a.forms = newForms(s.a.Graph, s.a.Mod, s.cfg.Jump.UseMOD)
 	s.cfg.Trace.AddUnits("graph", len(s.prog.Order))
 	return nil
+}
+
+// newForms returns an empty SSA table over cg whose call sites kill what
+// MOD information says they may modify, or everything without it.
+func newForms(cg *callgraph.Graph, mod *modref.Info, useMOD bool) *ssa.Table {
+	if useMOD {
+		return ssa.NewTable(cg, mod.Kills)
+	}
+	return ssa.NewTable(cg, nil)
 }
 
 // runJump builds the round's jump functions, consulting the memo layer
@@ -404,7 +417,7 @@ func runJump(ctx context.Context, s *attemptState) error {
 		} else {
 			jc.Memo = pm
 			var err error
-			fns, err = jump.Build(ctx, s.a.Graph, s.a.Mod, s.a.builder, jc, s.entry)
+			fns, err = jump.Build(ctx, s.a.Graph, s.a.Mod, s.a.forms, s.a.builder, jc, s.entry)
 			if err != nil {
 				return err
 			}
@@ -412,7 +425,7 @@ func runJump(ctx context.Context, s *attemptState) error {
 		}
 	} else {
 		var err error
-		fns, err = jump.Build(ctx, s.a.Graph, s.a.Mod, s.a.builder, jc, s.entry)
+		fns, err = jump.Build(ctx, s.a.Graph, s.a.Mod, s.a.forms, s.a.builder, jc, s.entry)
 		if err != nil {
 			return err
 		}
@@ -531,6 +544,7 @@ func bottomAnalysis(prog *sem.Program, cfgg Config) *Analysis {
 		a.Graph = callgraph.Build(prog)
 		a.Mod = modref.Compute(a.Graph)
 	}
+	a.forms = newForms(a.Graph, a.Mod, cfgg.Jump.UseMOD)
 	a.Funcs = &jump.Functions{
 		Config:  cfgg.Jump,
 		Graph:   a.Graph,
@@ -592,7 +606,7 @@ func (a *Analysis) RunSolver(kind SolverKind) (*Values, int, error) {
 func (a *Analysis) countDeadInstrs() int {
 	var results []*dce.Result
 	for _, pf := range a.Funcs.Procs {
-		results = append(results, dce.Analyze(pf.SSA, pf.Intra))
+		results = append(results, dce.Analyze(pf.Intra.F, pf.Intra))
 	}
 	return dce.TotalDeadInstrs(results)
 }
@@ -693,12 +707,12 @@ func (a *Analysis) Substitute() *subst.Result {
 		}
 		if pm != nil {
 			opts.Memo = pm
-			res = subst.Run(a.Graph, a.Mod, opts)
+			res = subst.Run(a.Graph, a.Mod, a.forms, opts)
 			h.StoreSubst(a.Config, opts, res)
 			return res
 		}
 	}
-	return subst.Run(a.Graph, a.Mod, opts)
+	return subst.Run(a.Graph, a.Mod, a.forms, opts)
 }
 
 // TransformedSource returns the program text with every substituted use
@@ -724,7 +738,7 @@ func IntraproceduralCount(prog *sem.Program) *subst.Result {
 	mod := modref.Compute(cg)
 	// Serial: this baseline runs as one cell of the table sweeps, which
 	// already fan out across cells.
-	return subst.Run(cg, mod, subst.Options{UseMOD: true, Parallelism: 1})
+	return subst.Run(cg, mod, newForms(cg, mod, true), subst.Options{UseMOD: true, Parallelism: 1})
 }
 
 // DataInits scans all DATA statements for load-time initializations of

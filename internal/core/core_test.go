@@ -466,6 +466,57 @@ END
 	}
 }
 
+// TestCompletePropagationSharesSSA: every round of complete propagation,
+// dead-code counting and substitution read one table of SSA forms,
+// which builds each procedure's form once.
+func TestCompletePropagationSharesSSA(t *testing.T) {
+	src := `PROGRAM MAIN
+INTEGER N
+N = 1
+CALL S(N)
+END
+SUBROUTINE S(K)
+INTEGER K, M
+IF (K .EQ. 1) THEN
+  M = 5
+ELSE
+  M = 6
+ENDIF
+CALL T(M)
+END
+SUBROUTINE T(J)
+INTEGER J
+PRINT *, J
+END
+`
+	for _, par := range []int{1, 4} {
+		cfg := configFor(jump.Polynomial)
+		cfg.Complete = true
+		cfg.Parallelism = par
+		a := analyzeSrc(t, src, cfg)
+		if a.Stats.Rounds < 2 {
+			t.Fatalf("par %d: rounds = %d, want >= 2", par, a.Stats.Rounds)
+		}
+		if sub := a.Substitute(); sub.Total == 0 {
+			t.Fatalf("par %d: no substitutions", par)
+		}
+		if got, want := a.forms.Built(), len(a.Prog.Order); got != want {
+			t.Errorf("par %d: %d SSA forms built over %d rounds and subst, want %d", par, got, a.Stats.Rounds, want)
+		}
+		for i, n := range a.Graph.Order {
+			if a.Funcs.Procs[n.Proc].Intra.F != a.forms.Func(i) {
+				t.Errorf("par %d: %s's jump functions were built over another SSA form", par, n.Proc.Name)
+			}
+		}
+		// Substitution reads the analysis's table: a fresh one fills.
+		a.forms = newForms(a.Graph, a.Mod, true)
+		a.Substitute()
+		if got, want := a.forms.Built(), len(a.Prog.Order); got != want {
+			t.Errorf("par %d: substitution built %d forms in the analysis's table, want %d", par, got, want)
+		}
+	}
+}
+
 func TestSolverEquivalence(t *testing.T) {
 	srcs := []string{
 		`PROGRAM MAIN

@@ -392,7 +392,6 @@ func (w *wal) writeCheckpoint(recs []record, closing bool) error {
 	if err := w.syncDir(); err != nil {
 		return err
 	}
-	w.st.checkpoints.Add(1)
 	// The snapshot now subsumes every segment through w.seq; drop them.
 	if err := w.f.Close(); err != nil {
 		return err
@@ -407,6 +406,9 @@ func (w *wal) writeCheckpoint(recs []record, closing bool) error {
 			w.st.segments.Add(-1)
 		}
 	}
+	// Count the checkpoint only once the segments it replaces are gone:
+	// a counted checkpoint is a finished compaction.
+	w.st.checkpoints.Add(1)
 	if closing {
 		w.closed = true
 		return nil

@@ -37,7 +37,6 @@ import (
 	"repro/internal/ast"
 	"repro/internal/callgraph"
 	"repro/internal/cfg"
-	"repro/internal/dom"
 	"repro/internal/guard"
 	"repro/internal/intra"
 	"repro/internal/modref"
@@ -131,10 +130,11 @@ type SiteFunctions struct {
 	Dead bool
 }
 
-// ProcFunctions bundles everything computed for one procedure.
+// ProcFunctions bundles everything computed for one procedure. Intra
+// (nil for a memoized procedure) is its value numbering; Intra.F is
+// its SSA form.
 type ProcFunctions struct {
 	Proc  *sem.Procedure
-	SSA   *ssa.Func
 	Intra *intra.Result
 	Sites []*SiteFunctions
 }
@@ -179,14 +179,17 @@ type ProcMemo struct {
 
 // Build constructs return and forward jump functions for the whole
 // program, in the paper's phase order: return jump functions bottom-up,
-// then forward jump functions. It returns an error only when
-// cfgr.Check reports budget exhaustion or ctx is cancelled (both
-// surface as *guard.Exhausted so the driver can degrade the
-// configuration); internal panics are re-raised tagged with the phase
-// and the procedure being analyzed. Worker pools observe ctx between
-// procedures, so a cancelled build stops claiming work instead of
-// analyzing the whole program. A nil ctx never cancels.
-func Build(ctx context.Context, cg *callgraph.Graph, mod *modref.Info, b *symbolic.Builder, cfgr Config, entry EntryEnv) (*Functions, error) {
+// then forward jump functions. Each procedure is value-numbered once,
+// over its form in forms (which must carry the kill assumptions
+// cfgr.UseMOD selects): the bottom-up pass stores every result, and the
+// forward jump functions are read off the stored results. It returns an
+// error only when cfgr.Check reports budget exhaustion or ctx is
+// cancelled (both surface as *guard.Exhausted so the driver can degrade
+// the configuration); internal panics are re-raised tagged with the
+// phase and the procedure being analyzed. Worker pools observe ctx
+// between procedures, so a cancelled build stops claiming work instead
+// of analyzing the whole program. A nil ctx never cancels.
+func Build(ctx context.Context, cg *callgraph.Graph, mod *modref.Info, forms *ssa.Table, b *symbolic.Builder, cfgr Config, entry EntryEnv) (*Functions, error) {
 	defer guard.Repanic("jump")
 	guard.InjectPanic("jump")
 	if b == nil {
@@ -204,16 +207,15 @@ func Build(ctx context.Context, cg *callgraph.Graph, mod *modref.Info, b *symbol
 		fns:      fns,
 		ctx:      ctx,
 		entry:    entry,
+		forms:    forms,
 		workers:  par.Workers(cfgr.Parallelism, len(cg.Order)),
 		orderIdx: make(map[*sem.Procedure]int, len(cg.Order)),
+		results:  make([]*intra.Result, len(cg.Order)),
 	}
 	for i, n := range cg.Order {
 		builder.orderIdx[n.Proc] = i
 	}
 	if builder.workers > 1 || cfgr.Memo != nil {
-		if builder.workers > 1 {
-			builder.prebuildSSA()
-		}
 		builder.procBuilders = make([]*symbolic.Builder, len(cg.Order))
 		for i := range builder.procBuilders {
 			pb := symbolic.NewBuilder()
@@ -228,10 +230,8 @@ func Build(ctx context.Context, cg *callgraph.Graph, mod *modref.Info, b *symbol
 			}
 		}()
 	}
-	if cfgr.UseReturnJFs {
-		if err := builder.buildReturns(); err != nil {
-			return nil, err
-		}
+	if err := builder.analyze(); err != nil {
+		return nil, err
 	}
 	if err := builder.buildForwards(); err != nil {
 		return nil, err
@@ -245,17 +245,6 @@ func (fb *fnBuilder) check() error {
 		return nil
 	}
 	return fb.fns.Config.Check()
-}
-
-// ctxErr reports the build context's cancellation as *guard.Exhausted.
-func (fb *fnBuilder) ctxErr() error {
-	if fb.ctx == nil {
-		return nil
-	}
-	if err := fb.ctx.Err(); err != nil {
-		return &guard.Exhausted{Axis: guard.AxisDeadline, Cause: err, Site: "jump"}
-	}
-	return nil
 }
 
 // forEach fans fn out over the build's worker pool under its context,
@@ -277,13 +266,12 @@ type fnBuilder struct {
 	fns      *Functions
 	ctx      context.Context
 	entry    EntryEnv
+	forms    *ssa.Table
 	workers  int
 	orderIdx map[*sem.Procedure]int
-	// ssaCache holds one SSA build per procedure: the SSA form depends
-	// only on the CFG and the kill assumptions, both fixed for a Build
-	// call, so the bottom-up (return JF) and top-down (forward JF)
-	// passes can share it.
-	ssaCache map[*callgraph.Node]*ssa.Func
+	// results holds each procedure's value numbering, indexed like
+	// Graph.Order (nil for memoized procedures).
+	results []*intra.Result
 	// procBuilders (parallel mode only) gives each procedure a private
 	// expression builder: the hash-consing tables are not goroutine-safe,
 	// and expressions cross builders only through Substitute, which
@@ -300,72 +288,25 @@ func (fb *fnBuilder) memoHit(p *sem.Procedure) *ProcMemo {
 	return nil
 }
 
-func (fb *fnBuilder) opaqueBase(p *sem.Procedure) int64 {
-	if i, ok := fb.orderIdx[p]; ok {
-		return int64(i+1) << 32
-	}
-	return int64(len(fb.fns.Graph.Order)+1) << 32
-}
-
-// builderFor returns the expression builder procedure p's analysis must
+// builderFor returns the expression builder procedure i's analysis must
 // use: its private one in parallel mode, the shared one serially.
-func (fb *fnBuilder) builderFor(p *sem.Procedure) *symbolic.Builder {
+func (fb *fnBuilder) builderFor(i int) *symbolic.Builder {
 	if fb.procBuilders != nil {
-		if i, ok := fb.orderIdx[p]; ok {
-			return fb.procBuilders[i]
-		}
+		return fb.procBuilders[i]
 	}
 	return fb.fns.Builder
 }
 
-// prebuildSSA fills the SSA cache for every procedure concurrently.
-// ssa.Build touches only per-procedure structures (the CFG, the dom
-// tree, its own Func), so the fan-out needs no synchronization beyond
-// the per-index slots.
-func (fb *fnBuilder) prebuildSSA() {
-	order := fb.fns.Graph.Order
-	opts := ssa.Options{Globals: fb.fns.Graph.Prog.Globals()}
-	if fb.fns.Config.UseMOD {
-		opts.Kills = fb.fns.Mod.Kills
-	}
-	built := make([]*ssa.Func, len(order))
-	// A cancelled prebuild leaves nil cache slots; analyzeProc fills them
-	// lazily, and the passes that follow observe the context themselves.
-	_ = par.ForEachCtx(fb.ctx, fb.workers, len(order), func(i int) error {
-		n := order[i]
-		if fb.memoHit(n.Proc) != nil {
-			return nil // both passes will reuse the memoized product
-		}
-		defer guard.Repanic("jump", n.Proc.Name)
-		built[i] = ssa.Build(n.CFG, dom.Compute(n.CFG), opts)
-		return nil
-	})
-	fb.ssaCache = make(map[*callgraph.Node]*ssa.Func, len(order))
-	for i, n := range order {
-		fb.ssaCache[n] = built[i]
-	}
-}
-
-// analyzeProc runs the SSA + symbolic engine for one procedure under
-// the current configuration and the return summaries computed so far.
-func (fb *fnBuilder) analyzeProc(n *callgraph.Node) (*ssa.Func, *intra.Result) {
+// analyzeProc value-numbers procedure n under the current
+// configuration and the return summaries installed so far.
+func (fb *fnBuilder) analyzeProc(n *callgraph.Node) *intra.Result {
+	defer guard.Repanic("jump", n.Proc.Name)
 	cfgr := fb.fns.Config
-	if fb.ssaCache == nil {
-		fb.ssaCache = make(map[*callgraph.Node]*ssa.Func)
-	}
-	fn := fb.ssaCache[n]
-	if fn == nil {
-		opts := ssa.Options{Globals: fb.fns.Graph.Prog.Globals()}
-		if cfgr.UseMOD {
-			opts.Kills = fb.fns.Mod.Kills
-		}
-		fn = ssa.Build(n.CFG, dom.Compute(n.CFG), opts)
-		fb.ssaCache[n] = fn
-	}
-
+	i := fb.orderIdx[n.Proc]
+	b := fb.builderFor(i)
 	iopts := intra.Options{
-		Builder:          fb.builderFor(n.Proc),
-		OpaqueBase:       fb.opaqueBase(n.Proc),
+		Builder:          b,
+		OpaqueBase:       int64(i+1) << 32,
 		Prune:            cfgr.Prune,
 		FullSubstitution: cfgr.FullSubstitution,
 		Gated:            cfgr.Gated,
@@ -390,90 +331,91 @@ func (fb *fnBuilder) analyzeProc(n *callgraph.Node) (*ssa.Func, *intra.Result) {
 			}
 		}
 	}
-	return fn, intra.Analyze(fn, iopts)
+	before := b.Truncated()
+	res := intra.Analyze(fb.forms.Func(i), iopts)
+	if cfgr.UseReturnJFs && !n.Recursive {
+		// Before each procedure was value-numbered once, the builder ran
+		// the analysis of every non-recursive procedure twice (once for
+		// its return summary, once for its forward jump functions), and
+		// both the expression-size warning and ProcMemo.Truncated count
+		// every run. Credit the second run's truncations so both counts
+		// stay what they were.
+		b.AddTruncated(b.Truncated() - before)
+	}
+	return res
 }
 
-// buildReturns walks the call graph bottom-up, producing a
-// ReturnSummary per non-recursive procedure (paper §4.1, first phase).
+// analyze value-numbers every procedure once, walking the call graph
+// bottom-up (paper §4.1, first phase), and installs a ReturnSummary per
+// non-recursive procedure when return jump functions are on.
 //
-// In parallel mode the bottom-up order relaxes to level scheduling:
-// level(p) = 1 + max level of p's callees in other SCCs, so the nodes
-// of one level have no summary dependence on each other and can be
-// analyzed concurrently. Summaries are installed serially at each level
-// barrier, so a worker only ever reads a quiescent Returns map.
-func (fb *fnBuilder) buildReturns() error {
+// The bottom-up order relaxes to level scheduling: level(p) = 1 + max
+// level of p's callees in other SCCs, so the nodes of one level have no
+// summary dependence on each other and can be analyzed concurrently.
+// Summaries are installed serially at each level barrier, so a worker
+// only ever reads a quiescent Returns map. A recursive procedure sees
+// the summaries of every callee outside its SCC, exactly as a pass
+// after the bottom-up one would, and none inside it. Without return
+// jump functions nothing depends on anything, so every procedure is on
+// level 0.
+func (fb *fnBuilder) analyze() error {
 	order := fb.fns.Graph.BottomUp()
+	useReturns := fb.fns.Config.UseReturnJFs
 	// Memoized summaries depend on nothing built this call (their
 	// callee closures are part of the memo key), so install them all up
-	// front; both the serial sweep and the level barriers below then see
-	// them exactly where a fresh build would have put them.
-	for _, n := range order {
-		if m := fb.memoHit(n.Proc); m != nil && m.Summary != nil {
-			fb.fns.Returns[n.Proc] = m.Summary
-		}
-	}
-	if fb.workers <= 1 {
+	// front, where a fresh build would have put them before any caller.
+	if useReturns {
 		for _, n := range order {
-			if n.Recursive {
-				continue // conservative: no return jump functions
+			if m := fb.memoHit(n.Proc); m != nil && m.Summary != nil {
+				fb.fns.Returns[n.Proc] = m.Summary
 			}
-			if fb.memoHit(n.Proc) != nil {
-				continue
-			}
-			if err := fb.ctxErr(); err != nil {
-				return err
-			}
-			if err := fb.check(); err != nil {
-				return err
-			}
-			fn, res := fb.analyzeProcGuarded(n)
-			fb.fns.Returns[n.Proc] = fb.summarize(n, fn, res)
 		}
-		return nil
 	}
 
 	// BottomUp order lists callees before callers (for nodes in distinct
 	// SCCs), so one forward sweep computes every level.
 	level := make(map[*callgraph.Node]int, len(order))
-	maxLevel := 0
+	var levels [][]*callgraph.Node
 	for _, n := range order {
 		lv := 0
-		for _, site := range n.Out {
-			m := fb.fns.Graph.Nodes[site.Callee]
-			if m == nil || m.SCC == n.SCC {
-				continue
-			}
-			if l := level[m] + 1; l > lv {
-				lv = l
+		if useReturns {
+			for _, site := range n.Out {
+				m := fb.fns.Graph.Nodes[site.Callee]
+				if m == nil || m.SCC == n.SCC {
+					continue
+				}
+				if l := level[m] + 1; l > lv {
+					lv = l
+				}
 			}
 		}
 		level[n] = lv
-		if lv > maxLevel {
-			maxLevel = lv
+		for len(levels) <= lv {
+			levels = append(levels, nil)
+		}
+		if fb.memoHit(n.Proc) == nil {
+			levels[lv] = append(levels[lv], n)
 		}
 	}
-	for lv := 0; lv <= maxLevel; lv++ {
-		var batch []*callgraph.Node
-		for _, n := range order {
-			if level[n] == lv && !n.Recursive && fb.memoHit(n.Proc) == nil {
-				batch = append(batch, n)
-			}
-		}
-		sums := make([]*intra.ReturnSummary, len(batch))
+	for _, batch := range levels {
 		err := fb.forEach(len(batch), func(i int) error {
 			if err := fb.check(); err != nil {
 				return err
 			}
 			n := batch[i]
-			fn, res := fb.analyzeProcGuarded(n)
-			sums[i] = fb.summarize(n, fn, res)
+			fb.results[fb.orderIdx[n.Proc]] = fb.analyzeProc(n)
 			return nil
 		})
 		if err != nil {
 			return err
 		}
-		for i, n := range batch {
-			fb.fns.Returns[n.Proc] = sums[i]
+		if !useReturns {
+			continue
+		}
+		for _, n := range batch {
+			if !n.Recursive {
+				fb.fns.Returns[n.Proc] = fb.summarize(n, fb.results[fb.orderIdx[n.Proc]])
+			}
 		}
 	}
 	return nil
@@ -481,7 +423,8 @@ func (fb *fnBuilder) buildReturns() error {
 
 // summarize extracts the return jump functions from one procedure's
 // exit state.
-func (fb *fnBuilder) summarize(n *callgraph.Node, fn *ssa.Func, res *intra.Result) *intra.ReturnSummary {
+func (fb *fnBuilder) summarize(n *callgraph.Node, res *intra.Result) *intra.ReturnSummary {
+	fn := res.F
 	sum := &intra.ReturnSummary{
 		Proc:    n.Proc,
 		Formals: make(map[int]*symbolic.Expr),
@@ -509,13 +452,6 @@ func (fb *fnBuilder) summarize(n *callgraph.Node, fn *ssa.Func, res *intra.Resul
 	return sum
 }
 
-// analyzeProcGuarded is analyzeProc with panic attribution: a panic in
-// the SSA/value-numbering engine is tagged with the procedure's name.
-func (fb *fnBuilder) analyzeProcGuarded(n *callgraph.Node) (*ssa.Func, *intra.Result) {
-	defer guard.Repanic("jump", n.Proc.Name)
-	return fb.analyzeProc(n)
-}
-
 // usableExit filters an exit expression down to a valid return jump
 // function: transparent (no opaque parts) and integer-valued.
 func usableExit(res *intra.Result, v *ssa.Value) *symbolic.Expr {
@@ -532,43 +468,41 @@ func usableExit(res *intra.Result, v *ssa.Value) *symbolic.Expr {
 	return e
 }
 
-// buildForwards constructs the per-site forward jump functions
-// (paper §4.1, second phase; a top-down pass, though with return
-// summaries fixed the order no longer matters — which is also what
-// makes the pass embarrassingly parallel).
+// buildForwards reads the per-site forward jump functions off the
+// stored value numberings (paper §4.1, second phase; a top-down pass,
+// though with the results fixed the order no longer matters — which is
+// also what lets the pass fan out).
 func (fb *fnBuilder) buildForwards() error {
 	order := fb.fns.Graph.TopDown()
 	pfs := make([]*ProcFunctions, len(order))
-	err := fb.forEach(len(order), func(i int) error {
-		if err := fb.check(); err != nil {
-			return err
-		}
-		n := order[i]
+	err := fb.forEach(len(order), func(k int) error {
+		n := order[k]
+		i := fb.orderIdx[n.Proc]
 		if m := fb.memoHit(n.Proc); m != nil {
 			// Reuse the memoized product wholesale. The truncation the
 			// original analysis observed is credited to this procedure's
 			// builder so the driver's warning reproduces exactly.
-			pfs[i] = &ProcFunctions{Proc: n.Proc, Sites: m.Sites}
-			fb.builderFor(n.Proc).AddTruncated(m.Truncated)
+			pfs[k] = &ProcFunctions{Proc: n.Proc, Sites: m.Sites}
+			fb.builderFor(i).AddTruncated(m.Truncated)
 			return nil
 		}
-		fn, res := fb.analyzeProcGuarded(n)
-		pf := &ProcFunctions{Proc: n.Proc, SSA: fn, Intra: res}
-		for _, site := range fn.Graph.Sites {
+		res := fb.results[i]
+		pf := &ProcFunctions{Proc: n.Proc, Intra: res}
+		for _, site := range res.F.Graph.Sites {
 			calleeNode := fb.fns.Graph.Nodes[site.Callee]
 			if calleeNode == nil {
 				continue
 			}
-			pf.Sites = append(pf.Sites, fb.siteFunctions(fn, res, site, calleeNode.Proc))
+			pf.Sites = append(pf.Sites, fb.siteFunctions(res, site, calleeNode.Proc))
 		}
-		pfs[i] = pf
+		pfs[k] = pf
 		if memo := fb.fns.Config.Memo; memo != nil {
-			// Both passes over this procedure used its private builder, so
-			// its truncation counter is exactly this procedure's share.
+			// The procedure's analysis used its private builder, so its
+			// truncation counter is exactly this procedure's share.
 			memo.Store(n.Proc, &ProcMemo{
 				Summary:   fb.fns.Returns[n.Proc],
 				Sites:     pf.Sites,
-				Truncated: fb.builderFor(n.Proc).Truncated(),
+				Truncated: fb.builderFor(i).Truncated(),
 			})
 		}
 		return nil
@@ -582,7 +516,7 @@ func (fb *fnBuilder) buildForwards() error {
 	return nil
 }
 
-func (fb *fnBuilder) siteFunctions(fn *ssa.Func, res *intra.Result, site *cfg.CallSite, callee *sem.Procedure) *SiteFunctions {
+func (fb *fnBuilder) siteFunctions(res *intra.Result, site *cfg.CallSite, callee *sem.Procedure) *SiteFunctions {
 	sf := &SiteFunctions{
 		Site:    site,
 		Callee:  callee,
@@ -593,7 +527,7 @@ func (fb *fnBuilder) siteFunctions(fn *ssa.Func, res *intra.Result, site *cfg.Ca
 		sf.Dead = true
 		return sf
 	}
-	info := fn.Calls[site]
+	info := res.F.Calls[site]
 	kind := fb.fns.Config.Kind
 	for i, formal := range callee.Formals {
 		if i >= len(site.Args) {

@@ -1,7 +1,11 @@
 package jump
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/callgraph"
@@ -9,6 +13,7 @@ import (
 	"repro/internal/parser"
 	"repro/internal/sem"
 	"repro/internal/source"
+	"repro/internal/ssa"
 	"repro/internal/symbolic"
 )
 
@@ -22,7 +27,11 @@ func buildFns(t *testing.T, src string, cfg Config) (*Functions, *sem.Program) {
 	}
 	cg := callgraph.Build(prog)
 	mod := modref.Compute(cg)
-	fns, err := Build(nil, cg, mod, symbolic.NewBuilder(), cfg, nil)
+	var kills ssa.KillFunc
+	if cfg.UseMOD {
+		kills = mod.Kills
+	}
+	fns, err := Build(nil, cg, mod, ssa.NewTable(cg, kills), symbolic.NewBuilder(), cfg, nil)
 	if err != nil {
 		t.Fatalf("jump.Build: %v", err)
 	}
@@ -281,5 +290,51 @@ func TestSiteFunctionsString(t *testing.T) {
 	s := sf.String()
 	if !strings.Contains(s, "N=7") {
 		t.Errorf("String = %q", s)
+	}
+}
+
+// TestBuildValueNumbersEachProcedureOnce: Build value-numbers every
+// procedure exactly once — recursive or not, with or without return
+// jump functions, serially and in parallel. Build asks for a
+// procedure's entry environment once per value numbering, so counting
+// those requests counts the analyses.
+func TestBuildValueNumbersEachProcedureOnce(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("..", "core", "testdata", "recursion.f"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var diags source.ErrorList
+	prog := sem.Analyze(parser.ParseSource("recursion.f", string(src), &diags), &diags)
+	if diags.HasErrors() {
+		t.Fatalf("front-end errors:\n%s", diags.Error())
+	}
+	cg := callgraph.Build(prog)
+	mod := modref.Compute(cg)
+	for _, ret := range []bool{true, false} {
+		for _, par := range []int{1, 4} {
+			t.Run(fmt.Sprintf("ret=%v/par%d", ret, par), func(t *testing.T) {
+				var mu sync.Mutex
+				runs := make(map[*sem.Procedure]int)
+				entry := func(p *sem.Procedure) map[ssa.Var]int64 {
+					mu.Lock()
+					runs[p]++
+					mu.Unlock()
+					return nil
+				}
+				cfg := Config{Kind: Polynomial, UseMOD: true, UseReturnJFs: ret, Parallelism: par}
+				fns, err := Build(nil, cg, mod, ssa.NewTable(cg, mod.Kills), symbolic.NewBuilder(), cfg, entry)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, p := range prog.Order {
+					if runs[p] != 1 {
+						t.Errorf("%s value-numbered %d times, want 1", p.Name, runs[p])
+					}
+					if fns.Procs[p] == nil || fns.Procs[p].Intra == nil {
+						t.Errorf("%s has no stored value numbering", p.Name)
+					}
+				}
+			})
+		}
 	}
 }

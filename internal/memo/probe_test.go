@@ -10,6 +10,7 @@ import (
 	"repro/internal/parser"
 	"repro/internal/sem"
 	"repro/internal/source"
+	"repro/internal/ssa"
 	"repro/internal/subst"
 	"repro/internal/suite"
 	"repro/internal/symbolic"
@@ -60,15 +61,15 @@ func TestPhaseProfile(t *testing.T) {
 	mod := modref.Compute(cg)
 	best("modref", func() { modref.Compute(cg) })
 	jc := jump.Config{Kind: jump.Polynomial, UseMOD: true, UseReturnJFs: true, Parallelism: 1}
-	fns, err := jump.Build(nil, cg, mod, symbolic.NewBuilder(), jc, nil)
+	fns, err := jump.Build(nil, cg, mod, ssa.NewTable(cg, mod.Kills), symbolic.NewBuilder(), jc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	best("jump", func() {
-		_, _ = jump.Build(nil, cg, mod, symbolic.NewBuilder(), jc, nil)
+		_, _ = jump.Build(nil, cg, mod, ssa.NewTable(cg, mod.Kills), symbolic.NewBuilder(), jc, nil)
 	})
 	best("subst", func() {
-		subst.Run(cg, mod, subst.Options{
+		subst.Run(cg, mod, ssa.NewTable(cg, mod.Kills), subst.Options{
 			UseMOD: true, UseReturnJFs: true, Returns: fns.Returns,
 			Builder: symbolic.NewBuilder(), Parallelism: 1,
 		})

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/arena"
 	"repro/internal/ast"
 	"repro/internal/cfg"
 	"repro/internal/dom"
@@ -174,14 +175,17 @@ type Func struct {
 	GlobalIns map[*sem.GlobalVar]*Value
 }
 
+// KillFunc reports which variables a call may modify, from the
+// caller's perspective: the killed actual positions (by formal index)
+// and the killed globals, or all when the call kills everything.
+type KillFunc func(site *cfg.CallSite) (formals map[int]bool, globals map[*sem.GlobalVar]bool, all bool)
+
 // Options configures SSA construction.
 type Options struct {
-	// Kills reports which variables a call may modify, from the
-	// caller's perspective: the killed actual positions (by formal
-	// index) and the killed globals. When nil, worst-case assumptions
-	// are used (every reference actual and every global is killed) —
-	// the "no MOD information" configuration of Table 3.
-	Kills func(site *cfg.CallSite) (formals map[int]bool, globals map[*sem.GlobalVar]bool, all bool)
+	// Kills supplies the call-site kill sets. When nil, worst-case
+	// assumptions are used (every reference actual and every global is
+	// killed) — the "no MOD information" configuration of Table 3.
+	Kills KillFunc
 	// Globals lists every program global (needed to give each one an
 	// entry value and record it at call sites).
 	Globals []*sem.GlobalVar
@@ -207,10 +211,15 @@ func Build(g *cfg.Graph, dt *dom.Tree, opts Options) *Func {
 	return f
 }
 
-// valueChunk is the arena chunk size: SSA values per slab allocation.
-// Small procedures fit in one chunk; large ones grow chunk-at-a-time
-// with stable *Value addresses throughout.
-const valueChunk = 256
+// Arena chunk bounds: SSA values, and Args pointers, per slab
+// allocation. Chunks start at the first size and double up to the
+// maximum (arena.NextChunk), so a small procedure's form allocates
+// little slack while a large one grows chunk-at-a-time with stable
+// *Value addresses throughout.
+const (
+	valueChunkFirst, valueChunk = 16, 256
+	argChunkFirst, argChunk     = 64, 1024
+)
 
 type ssaBuilder struct {
 	f      *Func
@@ -230,7 +239,7 @@ type ssaBuilder struct {
 
 func (b *ssaBuilder) newValue(op ValOp, blk *cfg.Block) *Value {
 	if len(b.arena) == cap(b.arena) {
-		b.arena = make([]Value, 0, valueChunk)
+		b.arena = make([]Value, 0, arena.NextChunk(cap(b.arena), valueChunkFirst, valueChunk))
 	}
 	b.arena = b.arena[:len(b.arena)+1]
 	v := &b.arena[len(b.arena)-1]
@@ -245,7 +254,7 @@ func (b *ssaBuilder) newValue(op ValOp, blk *cfg.Block) *Value {
 // shared args slab.
 func (b *ssaBuilder) argSpan(n int) []*Value {
 	if len(b.argSlab)+n > cap(b.argSlab) {
-		c := 4 * valueChunk
+		c := arena.NextChunk(cap(b.argSlab), argChunkFirst, argChunk)
 		if n > c {
 			c = n
 		}

@@ -16,7 +16,6 @@ package subst
 import (
 	"repro/internal/ast"
 	"repro/internal/callgraph"
-	"repro/internal/dom"
 	"repro/internal/guard"
 	"repro/internal/intra"
 	"repro/internal/modref"
@@ -81,8 +80,9 @@ type Result struct {
 }
 
 // Run counts (and records) constant substitutions for the whole
-// program under the given configuration.
-func Run(cg *callgraph.Graph, mod *modref.Info, opts Options) *Result {
+// program under the given configuration, over the SSA forms in forms
+// (which must carry the kill assumptions opts.UseMOD selects).
+func Run(cg *callgraph.Graph, mod *modref.Info, forms *ssa.Table, opts Options) *Result {
 	defer guard.Repanic("subst")
 	guard.InjectPanic("subst")
 	if opts.Builder == nil {
@@ -115,7 +115,7 @@ func Run(cg *callgraph.Graph, mod *modref.Info, opts Options) *Result {
 			workerBuilders[i] = pb
 		}
 		repls[i] = make(map[ast.Expr]string)
-		counts[i] = substProcGuarded(cg, mod, n, int64(i+1)<<32, popts, repls[i])
+		counts[i] = substProcGuarded(cg, mod, forms, i, popts, repls[i])
 		if opts.Memo != nil {
 			opts.Memo.Store(n.Proc, counts[i], repls[i])
 		}
@@ -135,22 +135,18 @@ func Run(cg *callgraph.Graph, mod *modref.Info, opts Options) *Result {
 }
 
 // substProcGuarded tags panics with the failing procedure's name.
-func substProcGuarded(cg *callgraph.Graph, mod *modref.Info, n *callgraph.Node, opaqueBase int64, opts Options, repl map[ast.Expr]string) int {
-	defer guard.Repanic("subst", n.Proc.Name)
-	return substProc(cg, mod, n, opaqueBase, opts, repl)
+func substProcGuarded(cg *callgraph.Graph, mod *modref.Info, forms *ssa.Table, i int, opts Options, repl map[ast.Expr]string) int {
+	defer guard.Repanic("subst", cg.Order[i].Proc.Name)
+	return substProc(cg, mod, forms, i, opts, repl)
 }
 
-func substProc(cg *callgraph.Graph, mod *modref.Info, n *callgraph.Node, opaqueBase int64, opts Options, repl map[ast.Expr]string) int {
-	ssaOpts := ssa.Options{Globals: cg.Prog.Globals()}
-	if opts.UseMOD {
-		ssaOpts.Kills = mod.Kills
-	}
-	dt := dom.Compute(n.CFG)
-	fn := ssa.Build(n.CFG, dt, ssaOpts)
-
+// substProc counts the substitutions in procedure cg.Order[i].
+func substProc(cg *callgraph.Graph, mod *modref.Info, forms *ssa.Table, i int, opts Options, repl map[ast.Expr]string) int {
+	n := cg.Order[i]
+	fn := forms.Func(i)
 	iopts := intra.Options{
 		Builder:          opts.Builder,
-		OpaqueBase:       opaqueBase,
+		OpaqueBase:       int64(i+1) << 32,
 		Prune:            opts.Prune,
 		FullSubstitution: opts.FullSubstitution,
 		Gated:            opts.Gated,

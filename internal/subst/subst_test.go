@@ -23,7 +23,16 @@ func run(t *testing.T, src string, opts Options) (*Result, *sem.Program, *ast.Fi
 	}
 	cg := callgraph.Build(prog)
 	mod := modref.Compute(cg)
-	return Run(cg, mod, opts), prog, f
+	return Run(cg, mod, formsFor(cg, mod, opts), opts), prog, f
+}
+
+// formsFor returns a fresh SSA table with the kill assumptions opts
+// selects.
+func formsFor(cg *callgraph.Graph, mod *modref.Info, opts Options) *ssa.Table {
+	if opts.UseMOD {
+		return ssa.NewTable(cg, mod.Kills)
+	}
+	return ssa.NewTable(cg, nil)
 }
 
 func TestCountsLocalConstants(t *testing.T) {
@@ -64,13 +73,14 @@ END
 	mod := modref.Compute(cg)
 
 	// Without an entry environment the formal is unknown: 0 uses.
-	res := Run(cg, mod, Options{UseMOD: true})
+	forms := ssa.NewTable(cg, mod.Kills)
+	res := Run(cg, mod, forms, Options{UseMOD: true})
 	if res.Total != 0 {
 		t.Errorf("without env: total = %d, want 0", res.Total)
 	}
 	// With N=4: uses of N and M count.
 	sp := prog.Procs["S"]
-	res2 := Run(cg, mod, Options{UseMOD: true, Entry: func(p *sem.Procedure) map[ssa.Var]int64 {
+	res2 := Run(cg, mod, forms, Options{UseMOD: true, Entry: func(p *sem.Procedure) map[ssa.Var]int64 {
 		if p == sp {
 			return map[ssa.Var]int64{ssa.VarOf(sp.Formals[0]): 4}
 		}

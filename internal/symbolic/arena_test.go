@@ -218,3 +218,27 @@ func FuzzStructCompareOrder(f *testing.F) {
 		}
 	})
 }
+
+// TestSmallBuilderKeepsOneSmallChunk: a builder holding a few nodes —
+// the common per-procedure case — allocates one first-size node chunk
+// and one first-size pointer chunk, not full-size ones.
+func TestSmallBuilderKeepsOneSmallChunk(t *testing.T) {
+	b := NewBuilder()
+	n := b.ParamLeaf(newSym("N"))
+	buildDistinct(b, n, 3)
+	if got := b.NumExprs(); got != 7 {
+		t.Fatalf("NumExprs = %d, want 7", got)
+	}
+	if got := b.NumChunks(); got != 1 {
+		t.Fatalf("NumChunks = %d, want 1", got)
+	}
+	if got := cap(b.chunks[0]); got != exprChunkFirst {
+		t.Errorf("node chunk holds %d nodes, want %d", got, exprChunkFirst)
+	}
+	if got := cap(b.ptrSlab); got != ptrChunkFirst {
+		t.Errorf("pointer chunk holds %d pointers, want %d", got, ptrChunkFirst)
+	}
+	if got := len(b.table); got != tableFirst {
+		t.Errorf("intern table has %d slots, want %d", got, tableFirst)
+	}
+}

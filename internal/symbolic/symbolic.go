@@ -14,9 +14,10 @@
 // construction of §3 cheap. Construction folds integer constants and
 // applies simple algebraic identities.
 //
-// Representation: a Builder is an arena. Nodes live in fixed-size
-// chunks of a slab (so *Expr handles stay stable while the pool grows
-// without per-node heap allocation), every node carries a dense uint32
+// Representation: a Builder is an arena. Nodes live in chunks of a slab
+// that start small and double up to a fixed size (so *Expr handles stay
+// stable while the pool grows without per-node heap allocation, and a
+// small builder stays small), every node carries a dense uint32
 // pool id, and interior nodes are deduplicated through an
 // open-addressed table keyed on the packed {op, kid0, kid1, kid2}
 // struct — no per-intern map churn, no allocation on an intern hit.
@@ -30,6 +31,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/arena"
 	"repro/internal/sem"
 )
 
@@ -154,10 +156,16 @@ func (e *Expr) String() string {
 }
 
 const (
-	// exprChunk is the arena chunk size: nodes per slab allocation.
-	exprChunk = 512
-	// ptrChunk is the shared Args/support slab chunk size.
-	ptrChunk = 2048
+	// Arena chunk bounds: nodes, and Args/support pointers, per slab
+	// allocation. Chunks start at the first size and double up to the
+	// maximum (arena.NextChunk): the pipeline gives every procedure its
+	// own builder, and most hold only a few dozen nodes, so full-size
+	// first chunks would make each one allocate and zero tens of KiB of
+	// slack.
+	exprChunkFirst, exprChunk = 16, 512
+	ptrChunkFirst, ptrChunk   = 64, 2048
+	// tableFirst is the intern table's initial slot count.
+	tableFirst = 32
 	// noKid marks an unused argument slot in an internKey. No node can
 	// hold this id: the pool would have to contain 2^32 nodes first.
 	noKid = ^uint32(0)
@@ -256,7 +264,7 @@ func (b *Builder) NumChunks() int { return len(b.chunks) }
 // zeroed; the *Expr address is stable for the life of the Builder.
 func (b *Builder) alloc() *Expr {
 	if len(b.cur) == cap(b.cur) {
-		b.cur = make([]Expr, 0, exprChunk)
+		b.cur = make([]Expr, 0, arena.NextChunk(cap(b.cur), exprChunkFirst, exprChunk))
 		b.chunks = append(b.chunks, b.cur)
 	}
 	b.cur = b.cur[:len(b.cur)+1]
@@ -267,7 +275,7 @@ func (b *Builder) alloc() *Expr {
 // shared slab.
 func (b *Builder) span(n int) []*Expr {
 	if len(b.ptrSlab)+n > cap(b.ptrSlab) {
-		c := ptrChunk
+		c := arena.NextChunk(cap(b.ptrSlab), ptrChunkFirst, ptrChunk)
 		if n > c {
 			c = n
 		}
@@ -538,7 +546,7 @@ func (b *Builder) insert(k internKey, e *Expr) {
 }
 
 func (b *Builder) growTable() {
-	n := 256
+	n := tableFirst
 	if len(b.table) > 0 {
 		n = 2 * len(b.table)
 	}
