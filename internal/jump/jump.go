@@ -334,12 +334,12 @@ func (fb *fnBuilder) analyzeProc(n *callgraph.Node) *intra.Result {
 	before := b.Truncated()
 	res := intra.Analyze(fb.forms.Func(i), iopts)
 	if cfgr.UseReturnJFs && !n.Recursive {
-		// Before each procedure was value-numbered once, the builder ran
-		// the analysis of every non-recursive procedure twice (once for
-		// its return summary, once for its forward jump functions), and
-		// both the expression-size warning and ProcMemo.Truncated count
-		// every run. Credit the second run's truncations so both counts
-		// stay what they were.
+		// The expression-size warning and ProcMemo.Truncated count a
+		// non-recursive procedure's truncations twice when return jump
+		// functions are on: they were defined when such a procedure was
+		// value-numbered once for its return summary and again for its
+		// forward jump functions, and both are observable outputs that
+		// must not change. Credit this run's truncations a second time.
 		b.AddTruncated(b.Truncated() - before)
 	}
 	return res
@@ -364,11 +364,9 @@ func (fb *fnBuilder) analyze() error {
 	// Memoized summaries depend on nothing built this call (their
 	// callee closures are part of the memo key), so install them all up
 	// front, where a fresh build would have put them before any caller.
-	if useReturns {
-		for _, n := range order {
-			if m := fb.memoHit(n.Proc); m != nil && m.Summary != nil {
-				fb.fns.Returns[n.Proc] = m.Summary
-			}
+	for _, n := range order {
+		if m := fb.memoHit(n.Proc); m != nil && m.Summary != nil {
+			fb.fns.Returns[n.Proc] = m.Summary
 		}
 	}
 
@@ -409,11 +407,8 @@ func (fb *fnBuilder) analyze() error {
 		if err != nil {
 			return err
 		}
-		if !useReturns {
-			continue
-		}
 		for _, n := range batch {
-			if !n.Recursive {
+			if useReturns && !n.Recursive {
 				fb.fns.Returns[n.Proc] = fb.summarize(n, fb.results[fb.orderIdx[n.Proc]])
 			}
 		}
