@@ -4,7 +4,7 @@ SOAK_DURATION ?= 30s
 SOAK_CLIENTS ?= 12
 SOAK_KILLS ?= 12
 
-.PHONY: all build vet test race fuzz check bench bench-go bench-check bench-smoke bench-ablation trace serve coord soak soak-cluster soak-jobs clean
+.PHONY: all build vet test race fuzz check bench bench-go bench-check bench-smoke perfbench-smoke bench-ablation trace serve coord soak soak-cluster soak-jobs clean
 
 all: check
 
@@ -67,6 +67,19 @@ bench-ablation:
 # exhibits and gates minus the timing-sensitive ones.
 bench-smoke:
 	$(GO) run ./cmd/ipcp-bench -quick -out /tmp/bench-smoke.json -baseline BENCH_ipcp.json
+
+# A fast CI smoke of the end-to-end benchmark (perfbench/, declared in
+# BENCHMARK.json): its unit tests in short mode, then a 5-second
+# untraced run of each declared workload. Fails unless every run's
+# result line reports every answer correct and no failed operation.
+perfbench-smoke:
+	$(GO) -C perfbench test -short ./...
+	@for wl in cold-corpus daemon-edits; do \
+		line=$$(bash perfbench/run.sh --workload $$wl --seed 1 --seconds 5 --trace 0 | tail -n 1) || exit 1; \
+		echo "$$wl: $$line"; \
+		case "$$line" in *'"correct":true'*) ;; *) echo "$$wl: answers not correct" >&2; exit 1;; esac; \
+		case "$$line" in *'"failed":0,'*|*'"failed":0}'*) ;; *) echo "$$wl: operations failed" >&2; exit 1;; esac; \
+	done
 
 # Print one representative analysis's per-phase trace as JSON: the
 # machine-readable counterpart of `ipcp -trace` (CI validates this
