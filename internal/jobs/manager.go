@@ -655,6 +655,7 @@ func (m *Manager) Submit(tenant string, subs []Submission) ([]Ack, error) {
 		m.enqueueLocked(j)
 		t.submitted++
 	}
+	m.compactLocked()
 	if len(newJobs) > 0 {
 		m.cond.Broadcast()
 		m.notifyLocked()
@@ -733,6 +734,7 @@ func (m *Manager) Cancel(id string) (JobView, bool) {
 	case StateQueued:
 		removeQueued(m.tenantLocked(j.tenant), j)
 		m.settleTerminalLocked(j, StateCanceled, record{T: recCancel, ID: j.id})
+		m.compactLocked()
 	case StateRunning:
 		j.cancelRequested = true
 		if j.cancel != nil {
@@ -808,6 +810,7 @@ func (m *Manager) worker() {
 		now := m.now()
 		if !j.deadline.IsZero() && now.After(j.deadline) {
 			m.settleTerminalLocked(j, StateExpired, record{T: recExpire, ID: j.id})
+			m.compactLocked()
 			m.mu.Unlock()
 			continue
 		}
@@ -827,6 +830,7 @@ func (m *Manager) worker() {
 		t.inFlight--
 		j.cancel = nil
 		m.settleAttemptLocked(j, t, ctxErr, out)
+		m.compactLocked()
 		m.cond.Broadcast() // an in-flight slot freed; retries may now be schedulable
 		m.mu.Unlock()
 	}
@@ -911,11 +915,7 @@ func (m *Manager) sweeper() {
 			}
 		}
 		m.pruneLocked(now)
-		if m.wal.liveSegments() > int64(m.cfg.CompactSegments) {
-			if err := m.checkpointLocked(false); err != nil {
-				m.walAppendErrors++
-			}
-		}
+		m.compactLocked()
 		// Fallback wakeup in case a retry timer fired while no worker
 		// was waiting.
 		m.cond.Broadcast()
@@ -941,6 +941,20 @@ func (m *Manager) pruneLocked(now time.Time) {
 		kept = append(kept, j)
 	}
 	m.order = kept
+}
+
+// compactLocked checkpoints the WAL once more than CompactSegments
+// segments have accumulated. Every operation that journals records
+// calls it only after applying them in memory, so the checkpoint
+// already covers the segments it deletes, and the segment count is
+// bounded after every operation rather than once per sweep.
+func (m *Manager) compactLocked() {
+	if m.killed || m.draining || m.wal.liveSegments() <= int64(m.cfg.CompactSegments) {
+		return
+	}
+	if err := m.checkpointLocked(false); err != nil {
+		m.walAppendErrors++
+	}
 }
 
 // checkpointLocked snapshots every retained job into the WAL

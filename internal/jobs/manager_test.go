@@ -771,6 +771,61 @@ func TestWALCompaction(t *testing.T) {
 	}
 }
 
+// TestCompactionSurvivesCrash compacts after nearly every journaled
+// operation — submits, retries and verdicts alike — then crashes: every
+// job must come back done with its result bytes, and none may run
+// again, so each checkpoint covered the segments it replaced.
+func TestCompactionSurvivesCrash(t *testing.T) {
+	dir := t.TempDir()
+	exec := newStubExec()
+	m := newTestManager(t, dir, exec, func(c *Config) {
+		c.SegmentBytes = 128
+		c.CompactSegments = 1
+	})
+	var ids []string
+	for i := 0; i < 12; i++ {
+		p := fmt.Sprintf("k%d", i)
+		if i%3 == 0 {
+			exec.mu.Lock()
+			exec.failN[p] = 1 // one retry journals a fail record
+			exec.mu.Unlock()
+		}
+		acks, err := m.Submit("t", []Submission{sub(p, 0)})
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		ids = append(ids, acks[0].ID)
+	}
+	bodies := make(map[string]string)
+	for _, id := range ids {
+		if v := waitTerminal(t, m, id); v.State != StateDone {
+			t.Fatalf("job %s: want done, got %+v", id, v)
+		}
+		_, body, _ := m.Result(id)
+		bodies[id] = string(body)
+	}
+	if m.Stats().WAL.Checkpoints == 0 {
+		t.Fatal("no compaction ran")
+	}
+	m.Kill()
+
+	exec2 := newStubExec()
+	m2 := newTestManager(t, dir, exec2, nil)
+	defer m2.Kill()
+	for i, id := range ids {
+		v, body, ok := m2.Result(id)
+		if !ok || v.State != StateDone {
+			t.Fatalf("job %s lost across compaction and crash: %+v ok=%v", id, v, ok)
+		}
+		if string(body) != bodies[id] {
+			t.Fatalf("job %s result changed across crash:\n  before %q\n  after  %q", id, bodies[id], body)
+		}
+		if n := exec2.callCount(fmt.Sprintf("k%d", i)); n != 0 {
+			t.Fatalf("done job %s re-executed %d times after replay", id, n)
+		}
+	}
+}
+
 func TestRetentionPruning(t *testing.T) {
 	exec := newStubExec()
 	m := newTestManager(t, t.TempDir(), exec, func(c *Config) {
