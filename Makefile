@@ -69,10 +69,12 @@ bench-smoke:
 	$(GO) run ./cmd/ipcp-bench -quick -out /tmp/bench-smoke.json -baseline BENCH_ipcp.json
 
 # A fast CI smoke of the end-to-end benchmark (perfbench/, declared in
-# BENCHMARK.json): its unit tests in short mode, then a 5-second
-# untraced run of each declared workload. Fails unless every run's
-# result line reports every answer correct and no failed operation.
+# BENCHMARK.json): go vet over its module (the root `vet` target never
+# enters it), its unit tests in short mode, then a 5-second untraced run
+# of each declared workload. Fails unless every run's result line
+# reports every answer correct and no failed operation.
 perfbench-smoke:
+	$(GO) -C perfbench vet ./...
 	$(GO) -C perfbench test -short ./...
 	@for wl in cold-corpus daemon-edits; do \
 		line=$$(bash perfbench/run.sh --workload $$wl --seed 1 --seconds 5 --trace 0 | tail -n 1) || exit 1; \

@@ -60,6 +60,9 @@ type Unit struct {
 	Result   BaseType // function result type (TypeNone otherwise)
 	Decls    []Decl
 	Body     []Stmt
+	// NumExprs bounds the unit's expression numbers: every expression
+	// node the parser built for the unit has 0 < ID < NumExprs.
+	NumExprs int
 }
 
 func (u *Unit) Pos() source.Position { return u.Position }
@@ -306,20 +309,31 @@ func (*PrintStmt) stmtNode()        {}
 // Expressions
 
 // Expr is an expression node.
+//
+// Every node carries a unit-local expression number, dense from 1: the
+// parser numbers a unit's nodes and records the bound in
+// Unit.NumExprs, and the CFG builder numbers the nodes it synthesizes
+// after those. Later phases index per-procedure tables by the number
+// instead of hashing node pointers. Number 0 means "unnumbered"; no
+// table stores it.
 type Expr interface {
 	Node
+	// ExprID returns the node's expression number (0 if unnumbered).
+	ExprID() int
 	exprNode()
 }
 
 // IntLit is an integer literal.
 type IntLit struct {
 	Position source.Position
+	ID       int
 	Value    int64
 }
 
 // RealLit is a real literal; Text preserves the original spelling.
 type RealLit struct {
 	Position source.Position
+	ID       int
 	Value    float64
 	Text     string
 }
@@ -327,12 +341,14 @@ type RealLit struct {
 // LogLit is `.TRUE.` or `.FALSE.`.
 type LogLit struct {
 	Position source.Position
+	ID       int
 	Value    bool
 }
 
 // StrLit is a character literal (only printable; not a propagated type).
 type StrLit struct {
 	Position source.Position
+	ID       int
 	Value    string
 }
 
@@ -340,6 +356,7 @@ type StrLit struct {
 // when used as an actual argument — a procedure name.
 type Ident struct {
 	Position source.Position
+	ID       int
 	Name     string
 }
 
@@ -347,6 +364,7 @@ type Ident struct {
 // disambiguated by package sem.
 type Apply struct {
 	Position source.Position
+	ID       int
 	Name     string
 	Args     []Expr
 }
@@ -397,6 +415,7 @@ func (o Op) IsArith() bool { return o <= OpNeg }
 // Unary is a unary operation (OpNeg or OpNot).
 type Unary struct {
 	Position source.Position
+	ID       int
 	Op       Op
 	X        Expr
 }
@@ -404,6 +423,7 @@ type Unary struct {
 // Binary is a binary operation.
 type Binary struct {
 	Position source.Position
+	ID       int
 	Op       Op
 	X, Y     Expr
 }
@@ -416,6 +436,15 @@ func (e *Ident) Pos() source.Position   { return e.Position }
 func (e *Apply) Pos() source.Position   { return e.Position }
 func (e *Unary) Pos() source.Position   { return e.Position }
 func (e *Binary) Pos() source.Position  { return e.Position }
+
+func (e *IntLit) ExprID() int  { return e.ID }
+func (e *RealLit) ExprID() int { return e.ID }
+func (e *LogLit) ExprID() int  { return e.ID }
+func (e *StrLit) ExprID() int  { return e.ID }
+func (e *Ident) ExprID() int   { return e.ID }
+func (e *Apply) ExprID() int   { return e.ID }
+func (e *Unary) ExprID() int   { return e.ID }
+func (e *Binary) ExprID() int  { return e.ID }
 
 func (*IntLit) exprNode()  {}
 func (*RealLit) exprNode() {}

@@ -1,8 +1,9 @@
 package ast
 
 // Deep cloning of AST nodes. The clones share positions (they denote
-// the same source text) but no node pointers, so transformations like
-// procedure cloning can rewrite one copy without disturbing the other.
+// the same source text) and expression numbers but no node pointers, so
+// transformations like procedure cloning can rewrite one copy without
+// disturbing the other.
 
 // CloneUnit returns a deep copy of a program unit.
 func CloneUnit(u *Unit) *Unit {
@@ -11,6 +12,7 @@ func CloneUnit(u *Unit) *Unit {
 		Kind:     u.Kind,
 		Name:     u.Name,
 		Result:   u.Result,
+		NumExprs: u.NumExprs,
 	}
 	for _, p := range u.Params {
 		out.Params = append(out.Params, &Param{Position: p.Position, Name: p.Name})
@@ -143,11 +145,11 @@ func CloneExpr(e Expr) Expr {
 		c := *x
 		return &c
 	case *Apply:
-		return &Apply{Position: x.Position, Name: x.Name, Args: cloneExprs(x.Args)}
+		return &Apply{Position: x.Position, ID: x.ID, Name: x.Name, Args: cloneExprs(x.Args)}
 	case *Unary:
-		return &Unary{Position: x.Position, Op: x.Op, X: CloneExpr(x.X)}
+		return &Unary{Position: x.Position, ID: x.ID, Op: x.Op, X: CloneExpr(x.X)}
 	case *Binary:
-		return &Binary{Position: x.Position, Op: x.Op, X: CloneExpr(x.X), Y: CloneExpr(x.Y)}
+		return &Binary{Position: x.Position, ID: x.ID, Op: x.Op, X: CloneExpr(x.X), Y: CloneExpr(x.Y)}
 	}
 	return e
 }

@@ -306,7 +306,7 @@ func (e *engine) evalExprTree(expr ast.Expr) bool {
 			}
 		}
 	}
-	v := e.f.UseVal[expr]
+	v := e.f.UseVal(expr)
 	if v == nil {
 		return changed
 	}

@@ -56,7 +56,7 @@ func printArgExpr(t *testing.T, r *Result, fn *ssa.Func, i int) *symbolic.Expr {
 	for _, blk := range fn.Graph.Blocks {
 		for _, in := range blk.Instrs {
 			if in.Kind == cfg.InstrPrint {
-				return r.ExprOf(fn.UseVal[in.Args[i]])
+				return r.ExprOf(fn.UseVal(in.Args[i]))
 			}
 		}
 	}
@@ -488,7 +488,7 @@ END
 	for _, blk := range fn.Graph.Blocks {
 		for _, in := range blk.Instrs {
 			if in.Kind == cfg.InstrPrint {
-				if c, ok := r.ConstOf(fn.UseVal[in.Args[0]]); !ok || c != 42 {
+				if c, ok := r.ConstOf(fn.UseVal(in.Args[0])); !ok || c != 42 {
 					t.Errorf("ConstOf = %v %v", c, ok)
 				}
 			}

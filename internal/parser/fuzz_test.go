@@ -11,8 +11,9 @@ import (
 )
 
 // FuzzParse: the parser must terminate without panicking on arbitrary
-// input, respecting the nesting and size guards. Seeded from the core
-// analysis corpus (internal/core/testdata/*.f).
+// input, respecting the nesting and size guards, and must number every
+// unit's expression nodes distinctly within (0, Unit.NumExprs). Seeded
+// from the core analysis corpus (internal/core/testdata/*.f).
 //
 // Run the corpus with `go test`; explore with `go test -fuzz FuzzParse`.
 func FuzzParse(f *testing.F) {
@@ -33,6 +34,66 @@ func FuzzParse(f *testing.F) {
 		if file == nil {
 			t.Fatal("ParseSource returned nil file")
 		}
+		for _, u := range file.Units {
+			checkNumbering(t, u)
+		}
+	})
+}
+
+// checkNumbering fails unless every expression node reachable from the
+// unit's declarations and body has a number in (0, u.NumExprs) that no
+// other node shares.
+func checkNumbering(t *testing.T, u *ast.Unit) {
+	t.Helper()
+	byID := make(map[int]ast.Expr)
+	check := func(e ast.Expr) {
+		ast.WalkExpr(e, func(x ast.Expr) bool {
+			id := x.ExprID()
+			if id <= 0 || id >= u.NumExprs {
+				t.Fatalf("%s: %s has number %d outside (0, %d)", u.Name, ast.ExprString(x), id, u.NumExprs)
+			}
+			if prev, ok := byID[id]; ok && prev != x {
+				t.Fatalf("%s: %s and %s share number %d", u.Name, ast.ExprString(prev), ast.ExprString(x), id)
+			}
+			byID[id] = x
+			return true
+		})
+	}
+	for _, d := range u.Decls {
+		switch x := d.(type) {
+		case *ast.VarDecl:
+			for _, it := range x.Items {
+				for _, e := range it.Dims {
+					check(e)
+				}
+			}
+		case *ast.CommonDecl:
+			for _, it := range x.Items {
+				for _, e := range it.Dims {
+					check(e)
+				}
+			}
+		case *ast.DimensionDecl:
+			for _, it := range x.Items {
+				for _, e := range it.Dims {
+					check(e)
+				}
+			}
+		case *ast.ParamDecl:
+			for _, e := range x.Values {
+				check(e)
+			}
+		case *ast.DataDecl:
+			for _, e := range x.Values {
+				check(e)
+			}
+		}
+	}
+	ast.WalkStmts(u.Body, func(s ast.Stmt) bool {
+		for _, e := range ast.ExprsOf(s) {
+			check(e)
+		}
+		return true
 	})
 }
 

@@ -65,6 +65,10 @@ type parser struct {
 	depth    int  // current expression/block nesting
 	depthErr bool // depth diagnostic already emitted (report once)
 
+	// nextExpr is the next expression number of the unit being parsed
+	// (ast.Expr's ExprID): numbering restarts at 1 for every unit.
+	nextExpr int
+
 	// Slab arenas for the hottest AST nodes. An AST lives and dies as a
 	// unit, so chunked slabs cut one heap allocation per expression node
 	// down to one per chunk without changing lifetimes.
@@ -77,11 +81,18 @@ type parser struct {
 // astChunk is the parser slab chunk size.
 const astChunk = 128
 
+// num hands out the next expression number of the current unit.
+func (p *parser) num() int {
+	n := p.nextExpr
+	p.nextExpr++
+	return n
+}
+
 func (p *parser) newIdent(pos source.Position, name string) *ast.Ident {
 	if len(p.identArena) == cap(p.identArena) {
 		p.identArena = make([]ast.Ident, 0, astChunk)
 	}
-	p.identArena = append(p.identArena, ast.Ident{Position: pos, Name: name})
+	p.identArena = append(p.identArena, ast.Ident{Position: pos, ID: p.num(), Name: name})
 	return &p.identArena[len(p.identArena)-1]
 }
 
@@ -89,7 +100,7 @@ func (p *parser) newIntLit(pos source.Position, v int64) *ast.IntLit {
 	if len(p.intArena) == cap(p.intArena) {
 		p.intArena = make([]ast.IntLit, 0, astChunk)
 	}
-	p.intArena = append(p.intArena, ast.IntLit{Position: pos, Value: v})
+	p.intArena = append(p.intArena, ast.IntLit{Position: pos, ID: p.num(), Value: v})
 	return &p.intArena[len(p.intArena)-1]
 }
 
@@ -97,8 +108,12 @@ func (p *parser) newBinary(pos source.Position, op ast.Op, x, y ast.Expr) *ast.B
 	if len(p.binArena) == cap(p.binArena) {
 		p.binArena = make([]ast.Binary, 0, astChunk)
 	}
-	p.binArena = append(p.binArena, ast.Binary{Position: pos, Op: op, X: x, Y: y})
+	p.binArena = append(p.binArena, ast.Binary{Position: pos, ID: p.num(), Op: op, X: x, Y: y})
 	return &p.binArena[len(p.binArena)-1]
+}
+
+func (p *parser) newUnary(pos source.Position, op ast.Op, x ast.Expr) *ast.Unary {
+	return &ast.Unary{Position: pos, ID: p.num(), Op: op, X: x}
 }
 
 // argAppend appends to an argument list, seeding empty lists with a
@@ -204,6 +219,7 @@ func (p *parser) unit() *ast.Unit {
 	if p.at(lexer.EOF) {
 		return nil
 	}
+	p.nextExpr = 1
 	u := &ast.Unit{Position: p.pos()}
 	switch {
 	case p.at(lexer.KwProgram):
@@ -246,6 +262,7 @@ func (p *parser) unit() *ast.Unit {
 
 	u.Decls = p.declarations()
 	u.Body = p.stmtList(endUnit)
+	u.NumExprs = p.nextExpr
 	// Consume the END line.
 	if p.at(lexer.KwEnd) {
 		p.next()
@@ -776,7 +793,7 @@ func (p *parser) signedConstant() ast.Expr {
 	}
 	e := p.primary()
 	if neg {
-		return &ast.Unary{Position: pos, Op: ast.OpNeg, X: e}
+		return p.newUnary(pos, ast.OpNeg, e)
 	}
 	return e
 }
@@ -810,7 +827,7 @@ func (p *parser) notExpr() ast.Expr {
 	if p.at(lexer.NOT) {
 		pos := p.pos()
 		p.next()
-		return &ast.Unary{Position: pos, Op: ast.OpNot, X: p.nested(p.notExpr)}
+		return p.newUnary(pos, ast.OpNot, p.nested(p.notExpr))
 	}
 	return p.relExpr()
 }
@@ -838,7 +855,7 @@ func (p *parser) arith() ast.Expr {
 	case lexer.MINUS:
 		pos := p.pos()
 		p.next()
-		x = &ast.Unary{Position: pos, Op: ast.OpNeg, X: p.term()}
+		x = p.newUnary(pos, ast.OpNeg, p.term())
 	case lexer.PLUS:
 		p.next()
 		x = p.term()
@@ -881,7 +898,7 @@ func (p *parser) power() ast.Expr {
 		if p.at(lexer.MINUS) {
 			mpos := p.pos()
 			p.next()
-			y = &ast.Unary{Position: mpos, Op: ast.OpNeg, X: p.nested(p.power)}
+			y = p.newUnary(mpos, ast.OpNeg, p.nested(p.power))
 		} else {
 			y = p.nested(p.power)
 		}
@@ -907,20 +924,20 @@ func (p *parser) primary() ast.Expr {
 		if err != nil {
 			p.diags.Errorf(pos, "malformed real literal %q", t.Text)
 		}
-		return &ast.RealLit{Position: pos, Value: v, Text: t.Text}
+		return &ast.RealLit{Position: pos, ID: p.num(), Value: v, Text: t.Text}
 	case lexer.LOGLIT:
 		t := p.next()
-		return &ast.LogLit{Position: pos, Value: t.Text == ".TRUE."}
+		return &ast.LogLit{Position: pos, ID: p.num(), Value: t.Text == ".TRUE."}
 	case lexer.STRING:
 		t := p.next()
-		return &ast.StrLit{Position: pos, Value: t.Text}
+		return &ast.StrLit{Position: pos, ID: p.num(), Value: t.Text}
 	case lexer.IDENT:
 		t := p.next()
 		if !p.at(lexer.LPAREN) {
 			return p.newIdent(pos, t.Text)
 		}
 		p.next()
-		a := &ast.Apply{Position: pos, Name: t.Text}
+		a := &ast.Apply{Position: pos, ID: p.num(), Name: t.Text}
 		if !p.at(lexer.RPAREN) {
 			for {
 				a.Args = p.argAppend(a.Args, p.expr())

@@ -81,7 +81,7 @@ func (pr *Program) ReplaceUnit(idx int, unit *ast.Unit, diags *source.ErrorList)
 		Labels:  make(map[string]ast.Stmt),
 	}
 	var local source.ErrorList
-	a := &analyzer{prog: pr, diags: &local, applyKinds: pr.applyKinds, exprTypes: pr.exprTypes}
+	a := &analyzer{prog: pr, diags: &local}
 
 	// Pass 2 and 3 for the one new procedure. Procs still maps the name
 	// to the old procedure during the passes; that is what checkCall

@@ -127,6 +127,12 @@ type Procedure struct {
 	// Result is the function-result symbol (functions only).
 	Result *Symbol
 
+	// exprTypes and applyKinds are the body check's side tables,
+	// indexed by expression number (ast.Expr's ExprID) and sized to
+	// Unit.NumExprs. They live and die with the procedure.
+	exprTypes  []ast.BaseType
+	applyKinds []ApplyKind
+
 	nextTemp int
 }
 
@@ -150,6 +156,39 @@ func (p *Procedure) NewTemp(t ast.BaseType) *Symbol {
 // Lookup returns the symbol for name, or nil.
 func (p *Procedure) Lookup(name string) *Symbol { return p.Symbols[name] }
 
+// TypeOf returns the analyzed type of an expression of the procedure's
+// unit (TypeNone if the expression was never reached, e.g. due to
+// earlier errors).
+func (p *Procedure) TypeOf(e ast.Expr) ast.BaseType {
+	if id := e.ExprID(); id < len(p.exprTypes) {
+		return p.exprTypes[id]
+	}
+	return ast.TypeNone
+}
+
+// ApplyKindOf returns the resolution of an Apply node of the
+// procedure's unit.
+func (p *Procedure) ApplyKindOf(a *ast.Apply) ApplyKind {
+	if a.ID < len(p.applyKinds) {
+		return p.applyKinds[a.ID]
+	}
+	return ApplyArray
+}
+
+// setType and setApplyKind record pass-3 results. Number 0 marks an
+// unnumbered node, whose slot no table stores.
+func (p *Procedure) setType(e ast.Expr, t ast.BaseType) {
+	if id := e.ExprID(); id != 0 {
+		p.exprTypes[id] = t
+	}
+}
+
+func (p *Procedure) setApplyKind(a *ast.Apply, k ApplyKind) {
+	if a.ID != 0 {
+		p.applyKinds[a.ID] = k
+	}
+}
+
 // Program is a fully analyzed F77s program.
 type Program struct {
 	File  *ast.File
@@ -162,10 +201,6 @@ type Program struct {
 	// CommonBlocks maps block name to the canonical member layout.
 	CommonBlocks map[string][]*GlobalVar
 
-	// applyKinds resolves every ast.Apply in the program.
-	applyKinds map[*ast.Apply]ApplyKind
-	// exprTypes caches the type of every analyzed expression.
-	exprTypes map[ast.Expr]ast.BaseType
 	// globalsCache is the stable Globals() order, sealed once after
 	// analysis so solver inner loops share one slice.
 	globalsCache []*GlobalVar
@@ -176,13 +211,6 @@ type Program struct {
 	procIdx   map[*Procedure]int
 	globalIdx map[*GlobalVar]int
 }
-
-// ApplyKindOf returns the resolution of an Apply node.
-func (pr *Program) ApplyKindOf(a *ast.Apply) ApplyKind { return pr.applyKinds[a] }
-
-// TypeOf returns the analyzed type of an expression (TypeNone if the
-// expression was never reached, e.g. due to earlier errors).
-func (pr *Program) TypeOf(e ast.Expr) ast.BaseType { return pr.exprTypes[e] }
 
 // Globals returns all COMMON globals in a stable order. The slice is
 // computed once when analysis completes and shared thereafter (callers
@@ -254,11 +282,10 @@ func Analyze(file *ast.File, diags *source.ErrorList) *Program {
 // out over up to workers goroutines (<= 0 selects GOMAXPROCS, 1 is the
 // serial pass). Passes 1 and 2 stay serial: they mutate program-wide
 // state (unit registration, COMMON block layouts). Pass 3 touches only
-// its own unit's symbols plus read-only facts fixed by pass 2 (callee
-// formal lists, unit kinds, result types), so units are independent;
-// each worker records types, apply resolutions, and diagnostics in a
-// private shard, merged in unit order so output is identical to the
-// serial pass.
+// its own unit's symbols and side tables plus read-only facts fixed by
+// pass 2 (callee formal lists, unit kinds, result types), so units are
+// independent; each worker collects its unit's diagnostics privately,
+// appended in unit order so output is identical to the serial pass.
 func AnalyzeParallel(file *ast.File, diags *source.ErrorList, workers int) *Program {
 	prog, _ := AnalyzeParallelCtx(nil, file, diags, workers)
 	return prog
@@ -278,10 +305,8 @@ func AnalyzeParallelCtx(ctx context.Context, file *ast.File, diags *source.Error
 		File:         file,
 		Procs:        make(map[string]*Procedure),
 		CommonBlocks: make(map[string][]*GlobalVar),
-		applyKinds:   make(map[*ast.Apply]ApplyKind),
-		exprTypes:    make(map[ast.Expr]ast.BaseType),
 	}
-	a := &analyzer{prog: prog, diags: diags, applyKinds: prog.applyKinds, exprTypes: prog.exprTypes}
+	a := &analyzer{prog: prog, diags: diags}
 	a.collectUnits()
 	for _, p := range a.prog.Order {
 		a.declareSymbols(p)
@@ -299,29 +324,17 @@ func AnalyzeParallelCtx(ctx context.Context, file *ast.File, diags *source.Error
 		a.prog.sealGlobals()
 		return a.prog, nil
 	}
-	shards := make([]*analyzer, n)
+	unitDiags := make([]source.ErrorList, n)
 	err := par.ForEachCtx(ctx, workers, n, func(i int) error {
-		sh := &analyzer{
-			prog:       prog,
-			diags:      &source.ErrorList{},
-			applyKinds: make(map[*ast.Apply]ApplyKind),
-			exprTypes:  make(map[ast.Expr]ast.BaseType),
-		}
-		shards[i] = sh
+		sh := &analyzer{prog: prog, diags: &unitDiags[i]}
 		sh.checkBodyGuarded(prog.Order[i])
 		return nil
 	})
 	if err != nil {
 		return nil, &guard.Exhausted{Axis: guard.AxisDeadline, Cause: err, Site: "sem"}
 	}
-	for _, sh := range shards {
-		for k, v := range sh.applyKinds {
-			prog.applyKinds[k] = v
-		}
-		for k, v := range sh.exprTypes {
-			prog.exprTypes[k] = v
-		}
-		diags.Diags = append(diags.Diags, sh.diags.Diags...)
+	for _, d := range unitDiags {
+		diags.Diags = append(diags.Diags, d.Diags...)
 	}
 	a.prog.sealGlobals()
 	return a.prog, nil
@@ -330,12 +343,6 @@ func AnalyzeParallelCtx(ctx context.Context, file *ast.File, diags *source.Error
 type analyzer struct {
 	prog  *Program
 	diags *source.ErrorList
-	// applyKinds and exprTypes are the side-table sinks for pass 3: they
-	// alias prog's maps in serial mode, and per-unit shards in parallel
-	// mode (an AST node belongs to exactly one unit, so shards are
-	// disjoint and merge without conflicts).
-	applyKinds map[*ast.Apply]ApplyKind
-	exprTypes  map[ast.Expr]ast.BaseType
 }
 
 // checkBodyGuarded tags panics during body checking with the unit name,

@@ -157,7 +157,7 @@ END
 		for _, e := range ast.ExprsOf(s) {
 			ast.WalkExpr(e, func(x ast.Expr) bool {
 				if ap, ok := x.(*ast.Apply); ok {
-					switch prog.ApplyKindOf(ap) {
+					switch prog.Main.ApplyKindOf(ap) {
 					case ApplyArray:
 						arrays++
 					case ApplyCall:
@@ -205,7 +205,7 @@ END
 	for _, s := range prog.Main.Unit.Body {
 		as := s.(*ast.AssignStmt)
 		lhs := as.Lhs.(*ast.Ident)
-		rt := prog.TypeOf(as.Rhs)
+		rt := prog.Main.TypeOf(as.Rhs)
 		switch lhs.Name {
 		case "I":
 			if rt != ast.TypeInteger {
@@ -345,5 +345,36 @@ func TestSymbolStrings(t *testing.T) {
 		if k.String() == "" {
 			t.Error("empty SymbolKind string")
 		}
+	}
+}
+
+// TestUnnumberedExpressionsAreNotRecorded: number 0 marks a node built
+// outside the parser. The body check still types it, but no table
+// stores slot 0, so the procedure answers the zero fact for it and its
+// numbered children keep their own entries.
+func TestUnnumberedExpressionsAreNotRecorded(t *testing.T) {
+	var diags source.ErrorList
+	f := parser.ParseSource("t.f", "PROGRAM MAIN\nINTEGER I\nI = 1\nPRINT *, I\nEND\n", &diags)
+	pr := f.Units[0].Body[1].(*ast.PrintStmt)
+	id := pr.Args[0]
+	mod := &ast.Apply{Name: "MOD", Args: []ast.Expr{id, &ast.IntLit{Value: 2}}}
+	sum := &ast.Binary{Op: ast.OpAdd, X: mod, Y: &ast.IntLit{Value: 1}}
+	pr.Args[0] = sum
+	prog := Analyze(f, &diags)
+	if diags.HasErrors() {
+		t.Fatalf("sem errors:\n%s", diags.Error())
+	}
+	p := prog.Main
+	if got := p.TypeOf(sum); got != ast.TypeNone {
+		t.Errorf("TypeOf(unnumbered) = %v, want %v", got, ast.TypeNone)
+	}
+	if got := p.ApplyKindOf(mod); got != ApplyArray {
+		t.Errorf("ApplyKindOf(unnumbered MOD) = %v, want the zero kind", got)
+	}
+	if p.exprTypes[0] != ast.TypeNone || p.applyKinds[0] != ApplyArray {
+		t.Errorf("slot 0 stored: type %v, apply kind %v", p.exprTypes[0], p.applyKinds[0])
+	}
+	if got := p.TypeOf(id); got != ast.TypeInteger {
+		t.Errorf("TypeOf(I) = %v, want INTEGER", got)
 	}
 }

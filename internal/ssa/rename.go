@@ -204,11 +204,12 @@ func (b *ssaBuilder) renameCall(blk *cfg.Block, in *cfg.Instr, def func(Var, *Va
 }
 
 // evalExpr builds the SSA value of an expression occurrence, recording
-// it in UseVal.
+// it for UseVal and UseBlock (unnumbered nodes are not recorded).
 func (b *ssaBuilder) evalExpr(blk *cfg.Block, e ast.Expr) *Value {
 	v := b.evalExpr1(blk, e)
-	b.f.UseVal[e] = v
-	b.f.UseBlock[e] = blk
+	if id := e.ExprID(); id != 0 {
+		b.f.uses[id] = exprUse{val: v, blk: blk}
+	}
 	return v
 }
 

@@ -3,6 +3,7 @@ package ssa
 import (
 	"testing"
 
+	"repro/internal/ast"
 	"repro/internal/callgraph"
 	"repro/internal/cfg"
 	"repro/internal/dom"
@@ -235,8 +236,8 @@ END
 	if printInstr == nil {
 		t.Fatal("no print instruction")
 	}
-	xv := fn.UseVal[printInstr.Args[0]]
-	yv := fn.UseVal[printInstr.Args[1]]
+	xv := fn.UseVal(printInstr.Args[0])
+	yv := fn.UseVal(printInstr.Args[1])
 	if xv == nil || xv.Op != OpPostCall {
 		t.Errorf("X after call = %v, want PostCall", xv)
 	}
@@ -254,7 +255,7 @@ END
 			}
 		}
 	}
-	yv2 := fn2.UseVal[print2.Args[1]]
+	yv2 := fn2.UseVal(print2.Args[1])
 	if yv2 == nil || yv2.Op != OpPostCall {
 		t.Errorf("no-MOD: Y after call = %v, want PostCall", yv2)
 	}
@@ -283,7 +284,7 @@ END
 			}
 		}
 	}
-	gv := fn.UseVal[printInstr.Args[0]]
+	gv := fn.UseVal(printInstr.Args[0])
 	if gv == nil || gv.Op != OpPostCall {
 		t.Errorf("G after call = %v, want PostCall", gv)
 	}
@@ -427,7 +428,8 @@ END
 // TestSSAInvariantsOnRandomPrograms checks, over generated programs:
 // every value has a unique ID; non-phi arguments' defining blocks
 // dominate the user's block; phi argument counts match predecessor
-// counts; every tracked use resolves to a value.
+// counts; every expression occurrence in a reachable block resolves to
+// a value.
 func TestSSAInvariantsOnRandomPrograms(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		src := gen.Program(gen.Config{Seed: seed, NumProcs: 4, StmtsPerProc: 10})
@@ -464,11 +466,87 @@ func TestSSAInvariantsOnRandomPrograms(t *testing.T) {
 					}
 				}
 			}
-			for e, v := range fn.UseVal {
-				if v == nil {
-					t.Fatalf("seed %d %s: nil UseVal for %T", seed, n.Proc.Name, e)
+			// Every expression occurrence (subexpressions included) of a
+			// reachable block's instructions and branch condition has a
+			// recorded value and block. Whole-array actuals have no scalar
+			// value and are the one exception.
+			requireUses := func(e ast.Expr) {
+				ast.WalkExpr(e, func(x ast.Expr) bool {
+					if fn.UseVal(x) == nil || fn.UseBlock(x) == nil {
+						t.Fatalf("seed %d %s: no recorded use for %T %s", seed, n.Proc.Name, x, ast.ExprString(x))
+					}
+					return true
+				})
+			}
+			for _, blk := range fn.Graph.Blocks {
+				if !dt.Reachable(blk) {
+					continue
+				}
+				for _, in := range blk.Instrs {
+					switch in.Kind {
+					case cfg.InstrAssign:
+						requireUses(in.Rhs)
+						for _, sub := range in.Subs {
+							requireUses(sub)
+						}
+					case cfg.InstrRead:
+						for _, tg := range in.Targets {
+							for _, sub := range tg.Subs {
+								requireUses(sub)
+							}
+						}
+					case cfg.InstrPrint:
+						for _, a := range in.Args {
+							requireUses(a)
+						}
+					case cfg.InstrCall:
+						info := fn.Calls[in.Site]
+						for i, a := range in.Site.Args {
+							if !info.ArgIsWholeArray[i] {
+								requireUses(a)
+							}
+						}
+					}
+				}
+				if blk.Term.Kind == cfg.TermCond {
+					requireUses(blk.Term.Cond)
 				}
 			}
 		}
+	}
+}
+
+// TestUnnumberedExpressionsAreNotRecorded: number 0 marks a node built
+// outside the parser and the CFG builder. SSA construction evaluates it
+// but records no use for it, so slot 0 of the use table stays empty
+// while its numbered children keep their own entries.
+func TestUnnumberedExpressionsAreNotRecorded(t *testing.T) {
+	var diags source.ErrorList
+	f := parser.ParseSource("t.f", "PROGRAM P\nINTEGER I\nI = 1\nPRINT *, I\nEND\n", &diags)
+	prog := sem.Analyze(f, &diags)
+	if diags.HasErrors() {
+		t.Fatalf("front-end errors:\n%s", diags.Error())
+	}
+	g := cfg.Build(prog, prog.Main)
+	var pr *cfg.Instr
+	for _, blk := range g.Blocks {
+		for _, in := range blk.Instrs {
+			if in.Kind == cfg.InstrPrint {
+				pr = in
+			}
+		}
+	}
+	id := pr.Args[0]
+	sum := &ast.Binary{Op: ast.OpAdd, X: id, Y: &ast.IntLit{Value: 1}}
+	pr.Args = []ast.Expr{sum}
+	fn := Build(g, dom.Compute(g), Options{Globals: prog.Globals()})
+	if v := fn.UseVal(sum); v != nil {
+		t.Errorf("UseVal(unnumbered) = %v, want nil", v)
+	}
+	if fn.uses[0] != (exprUse{}) {
+		t.Errorf("slot 0 stored: %+v", fn.uses[0])
+	}
+	if v := fn.UseVal(id); v == nil || v.Op != OpConst || v.AuxInt != 1 {
+		t.Errorf("UseVal(I) = %v, want const 1", v)
 	}
 }

@@ -259,7 +259,7 @@ func (c *counter) visitRvalue(e ast.Expr) {
 		c.visitRvalue(x.X)
 		c.visitRvalue(x.Y)
 	case *ast.Apply:
-		switch c.cg.Prog.ApplyKindOf(x) {
+		switch c.proc.ApplyKindOf(x) {
 		case sem.ApplyCall:
 			c.visitCallArgs(x.Name, x.Args)
 		default: // array element or intrinsic: arguments are plain rvalues
@@ -302,11 +302,11 @@ func (c *counter) tryCount(id *ast.Ident) {
 		// analysis result.
 		return
 	}
-	v := c.fn.UseVal[id]
+	v := c.fn.UseVal(id)
 	if v == nil {
 		return
 	}
-	if blk := c.fn.UseBlock[id]; blk != nil && !c.res.BlockExecutable(blk) {
+	if blk := c.fn.UseBlock(id); blk != nil && !c.res.BlockExecutable(blk) {
 		return // the use is in dead code (pruned): nothing to substitute
 	}
 	e := c.res.ExprOf(v)
