@@ -4,7 +4,7 @@ SOAK_DURATION ?= 30s
 SOAK_CLIENTS ?= 12
 SOAK_KILLS ?= 12
 
-.PHONY: all build vet test race fuzz check bench bench-go bench-check bench-smoke perfbench-smoke bench-ablation trace serve coord soak soak-cluster soak-jobs clean
+.PHONY: all build vet test race fuzz check bench bench-go bench-check bench-smoke perfbench-smoke bench-ablation cli-sweep trace serve coord soak soak-cluster soak-jobs clean
 
 all: check
 
@@ -82,6 +82,16 @@ perfbench-smoke:
 		case "$$line" in *'"correct":true'*) ;; *) echo "$$wl: answers not correct" >&2; exit 1;; esac; \
 		case "$$line" in *'"failed":0,'*|*'"failed":0}'*) ;; *) echo "$$wl: operations failed" >&2; exit 1;; esac; \
 	done
+
+# Byte-identity sweep of the ipcp CLI against revision BASE (usage:
+# make cli-sweep BASE=<rev>): builds both sides, runs the suite and the
+# core testdata under every jump-function kind, a grid of analysis modes
+# and -parallel 1 and 4, and fails on any difference in stdout, stderr or
+# exit code (see scripts/cli-sweep.sh). Not part of check: a change meant
+# to alter outputs must differ.
+cli-sweep:
+	@test -n "$(BASE)" || { echo "usage: make cli-sweep BASE=<rev>" >&2; exit 2; }
+	bash scripts/cli-sweep.sh $(BASE)
 
 # Print one representative analysis's per-phase trace as JSON: the
 # machine-readable counterpart of `ipcp -trace` (CI validates this

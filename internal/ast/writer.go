@@ -153,7 +153,12 @@ func (p *printer) decl(indent int, d Decl) {
 	case *VarDecl:
 		p.line(indent, "%s %s", x.Type, p.declItems(x.Items))
 	case *CommonDecl:
-		p.line(indent, "COMMON /%s/ %s", x.Block, p.declItems(x.Items))
+		if x.Block == "" {
+			// Blank COMMON has no "//" form in the grammar.
+			p.line(indent, "COMMON %s", p.declItems(x.Items))
+		} else {
+			p.line(indent, "COMMON /%s/ %s", x.Block, p.declItems(x.Items))
+		}
 	case *ParamDecl:
 		parts := make([]string, len(x.Names))
 		for i := range x.Names {

@@ -688,17 +688,7 @@ func (a *Analysis) AllConstants() map[*sem.Procedure][]Constant {
 // Substitute counts (and records) the constants the analyzer would
 // substitute into the program text — the paper's reported metric.
 func (a *Analysis) Substitute() *subst.Result {
-	opts := subst.Options{
-		UseMOD:           a.Config.Jump.UseMOD,
-		UseReturnJFs:     a.Config.Jump.UseReturnJFs,
-		Returns:          a.Funcs.Returns,
-		FullSubstitution: a.Config.Jump.FullSubstitution,
-		Gated:            a.Config.Jump.Gated,
-		Prune:            a.Config.Complete,
-		Entry:            a.Vals.EntryEnv,
-		Builder:          a.builder,
-		Parallelism:      a.Config.Parallelism,
-	}
+	opts := a.substOptions()
 	if h := a.Config.Hooks; h != nil {
 		res, pm := h.Subst(a.Config, opts)
 		if res != nil {
@@ -713,6 +703,29 @@ func (a *Analysis) Substitute() *subst.Result {
 		}
 	}
 	return subst.Run(a.Graph, a.Mod, a.forms, opts)
+}
+
+// substOptions configures substitution over the analysis's solution,
+// handing it the value numbering jump construction stored for each
+// procedure.
+func (a *Analysis) substOptions() subst.Options {
+	return subst.Options{
+		UseMOD:           a.Config.Jump.UseMOD,
+		UseReturnJFs:     a.Config.Jump.UseReturnJFs,
+		Returns:          a.Funcs.Returns,
+		FullSubstitution: a.Config.Jump.FullSubstitution,
+		Gated:            a.Config.Jump.Gated,
+		Prune:            a.Config.Complete,
+		Entry:            a.Vals.EntryEnv,
+		Intra: func(p *sem.Procedure) *intra.Result {
+			if pf := a.Funcs.Procs[p]; pf != nil {
+				return pf.Intra
+			}
+			return nil
+		},
+		MaxExprSize: a.builder.MaxSize(),
+		Parallelism: a.Config.Parallelism,
+	}
 }
 
 // TransformedSource returns the program text with every substituted use

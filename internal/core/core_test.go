@@ -10,6 +10,7 @@ import (
 	"repro/internal/parser"
 	"repro/internal/sem"
 	"repro/internal/source"
+	"repro/internal/subst"
 )
 
 func analyzeSrc(t *testing.T, src string, cfg Config) *Analysis {
@@ -497,8 +498,14 @@ END
 		if a.Stats.Rounds < 2 {
 			t.Fatalf("par %d: rounds = %d, want >= 2", par, a.Stats.Rounds)
 		}
-		if sub := a.Substitute(); sub.Total == 0 {
+		sub := a.Substitute()
+		if sub.Total == 0 {
 			t.Fatalf("par %d: no substitutions", par)
+		}
+		// The last round ran under the converged entry constants, so
+		// substitution counts every procedure from its stored numbering.
+		if sub.Reanalyzed != 0 {
+			t.Errorf("par %d: substitution re-analyzed %d procedures, want 0", par, sub.Reanalyzed)
 		}
 		if got, want := a.forms.Built(), len(a.Prog.Order); got != want {
 			t.Errorf("par %d: %d SSA forms built over %d rounds and subst, want %d", par, got, a.Stats.Rounds, want)
@@ -508,9 +515,13 @@ END
 				t.Errorf("par %d: %s's jump functions were built over another SSA form", par, n.Proc.Name)
 			}
 		}
-		// Substitution reads the analysis's table: a fresh one fills.
+		// A re-analysis reads the analysis's table: a fresh one fills.
 		a.forms = newForms(a.Graph, a.Mod, true)
-		a.Substitute()
+		opts := a.substOptions()
+		opts.Intra = nil
+		if sub := subst.Run(a.Graph, a.Mod, a.forms, opts); sub.Reanalyzed != len(a.Prog.Order) {
+			t.Errorf("par %d: %d procedures re-analyzed without stored numberings, want %d", par, sub.Reanalyzed, len(a.Prog.Order))
+		}
 		if got, want := a.forms.Built(), len(a.Prog.Order); got != want {
 			t.Errorf("par %d: substitution built %d forms in the analysis's table, want %d", par, got, want)
 		}
@@ -673,6 +684,68 @@ END
 	parser.ParseSource("t2.f", out, &diags2)
 	if diags2.HasErrors() {
 		t.Errorf("transformed source does not parse:\n%s\n%s", out, diags2.Error())
+	}
+}
+
+// TestTransformedSourceReparses: the transformed text of programs that
+// reach the writer's edge cases must parse and print what the original
+// prints. The minimum int64 has no literal of its own, and blank COMMON
+// has no "//" form in the grammar.
+func TestTransformedSourceReparses(t *testing.T) {
+	cases := []struct{ name, src, subst, want string }{
+		{"min-int64", `PROGRAM MAIN
+INTEGER K
+K = 9223372036854775807
+CALL S(K)
+END
+SUBROUTINE S(N)
+INTEGER N, M
+M = N + 1
+PRINT *, M
+END
+`, "PRINT *, (-9223372036854775807 - 1)", "-9223372036854775808"},
+		{"blank-common", `PROGRAM MAIN
+INTEGER G
+COMMON G
+G = 3
+CALL S
+END
+SUBROUTINE S
+INTEGER G
+COMMON G
+PRINT *, G
+END
+`, "PRINT *, 3", "3"},
+	}
+	for _, tc := range cases {
+		var diags source.ErrorList
+		f := parser.ParseSource("t.f", tc.src, &diags)
+		prog := sem.Analyze(f, &diags)
+		if diags.HasErrors() {
+			t.Fatal(diags.Error())
+		}
+		out := AnalyzeProgram(prog, DefaultConfig()).TransformedSource(f)
+		if !strings.Contains(out, tc.subst) {
+			t.Errorf("%s: transformed source lacks %q:\n%s", tc.name, tc.subst, out)
+		}
+		var diags2 source.ErrorList
+		f2 := parser.ParseSource("t2.f", out, &diags2)
+		prog2 := sem.Analyze(f2, &diags2)
+		if diags2.HasErrors() {
+			t.Errorf("%s: transformed source does not parse:\n%s\n%s", tc.name, out, diags2.Error())
+			continue
+		}
+		before, err := interp.Run(prog, interp.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		after, err := interp.Run(prog2, interp.Options{})
+		if err != nil {
+			t.Fatalf("%s: transformed execution: %v", tc.name, err)
+		}
+		if strings.TrimSpace(before.Output) != tc.want || after.Output != before.Output {
+			t.Errorf("%s: original prints %q, transformed %q, want %q", tc.name, before.Output, after.Output, tc.want)
+		}
 	}
 }
 

@@ -70,8 +70,7 @@ func TestPhaseProfile(t *testing.T) {
 	})
 	best("subst", func() {
 		subst.Run(cg, mod, ssa.NewTable(cg, mod.Kills), subst.Options{
-			UseMOD: true, UseReturnJFs: true, Returns: fns.Returns,
-			Builder: symbolic.NewBuilder(), Parallelism: 1,
+			UseMOD: true, UseReturnJFs: true, Returns: fns.Returns, Parallelism: 1,
 		})
 	})
 }
