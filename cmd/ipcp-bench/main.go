@@ -10,7 +10,7 @@
 //	ipcp-bench                      # write BENCH_ipcp.json in the cwd
 //	ipcp-bench -out path.json
 //	ipcp-bench -min-speedup 2      # also gate on sweep speedup (needs >= 4 CPUs)
-//	ipcp-bench -baseline BENCH_ipcp.json  # fail on >10% alloc regression
+//	ipcp-bench -baseline BENCH_ipcp.json  # fail on >10% allocs/op or bytes/op regression
 //	ipcp-bench -quick               # short iterations for CI smoke runs
 //	ipcp-bench -trace               # print one analysis's per-phase trace as JSON and exit
 //
@@ -22,8 +22,9 @@
 //     machine the parallel sweep cannot be expected to win, and the
 //     paper's determinism guarantee (identical output at every
 //     parallelism) is what the tests enforce instead.
-//   - With -baseline, the allocs/op of table2/analyze-serial must not
-//     grow more than 10% over the committed baseline.
+//   - With -baseline, neither the allocs/op nor the bytes/op of
+//     table2/analyze-serial may grow more than 10% over the committed
+//     baseline.
 //   - The incremental-analysis exhibits must show their designed wins
 //     (warm-identical >= 5x over cold, warm-one-edit >= 2x, and the
 //     session delta edit >= 4x over warm-one-edit); skipped under
@@ -242,11 +243,12 @@ func findExhibit(b *Baseline, name string) *Exhibit {
 }
 
 // gateAllocs fails when the hot analysis path allocates more than 10%
-// over the committed baseline, or — in full (non-quick) runs, whose
-// counts come from the testing harness rather than noisy MemStats
-// deltas — when it exceeds the absolute post-arena ceiling. ns/op is
-// too machine-dependent to gate in CI; allocation counts are
-// deterministic enough to hold the line.
+// over the committed baseline, in allocations or in bytes, or — in full
+// (non-quick) runs, whose counts come from the testing harness rather
+// than noisy MemStats deltas — when its allocations exceed the absolute
+// post-arena ceiling. ns/op is too machine-dependent to gate in CI;
+// allocation counts and bytes are deterministic enough to hold the
+// line.
 func gateAllocs(stdout io.Writer, path string, cur *Baseline) error {
 	blob, err := os.ReadFile(path)
 	if err != nil {
@@ -263,8 +265,8 @@ func gateAllocs(stdout io.Writer, path string, cur *Baseline) error {
 	// path), not drift.
 	const absCap = 50000
 	was, now := findExhibit(&committed, name), findExhibit(cur, name)
-	if was == nil || was.AllocsPerOp == 0 {
-		return fmt.Errorf("alloc gate: %s has no %s allocs baseline", path, name)
+	if was == nil || was.AllocsPerOp == 0 || was.BytesPerOp == 0 {
+		return fmt.Errorf("alloc gate: %s has no %s allocs and bytes baseline", path, name)
 	}
 	if now == nil {
 		return fmt.Errorf("alloc gate: current run has no %s exhibit", name)
@@ -274,12 +276,17 @@ func gateAllocs(stdout io.Writer, path string, cur *Baseline) error {
 		return fmt.Errorf("alloc gate: %s allocs/op %d exceeds baseline %d by more than 10%%",
 			name, now.AllocsPerOp, was.AllocsPerOp)
 	}
+	bytesLimit := was.BytesPerOp + was.BytesPerOp/10
+	if now.BytesPerOp > bytesLimit {
+		return fmt.Errorf("alloc gate: %s bytes/op %d exceeds baseline %d by more than 10%%",
+			name, now.BytesPerOp, was.BytesPerOp)
+	}
 	if !quick && now.AllocsPerOp >= absCap {
 		return fmt.Errorf("alloc gate: %s allocs/op %d exceeds absolute cap %d",
 			name, now.AllocsPerOp, absCap)
 	}
-	fmt.Fprintf(stdout, "alloc gate passed: %s %d allocs/op (baseline %d, limit %d, cap %d)\n",
-		name, now.AllocsPerOp, was.AllocsPerOp, limit, absCap)
+	fmt.Fprintf(stdout, "alloc gate passed: %s %d allocs/op (baseline %d, limit %d, cap %d), %d bytes/op (baseline %d, limit %d)\n",
+		name, now.AllocsPerOp, was.AllocsPerOp, limit, absCap, now.BytesPerOp, was.BytesPerOp, bytesLimit)
 	return nil
 }
 

@@ -2,6 +2,8 @@ package main
 
 import (
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -74,5 +76,37 @@ func TestSingleCPUSweepNote(t *testing.T) {
 	}
 	if got.Note == "" || got.Speedup != 1 || got.SerialNs != got.ParallelNs {
 		t.Fatalf("single-CPU sweep document mangled: %+v", got)
+	}
+}
+
+// TestGateAllocs checks the baseline gate's 10% rule on both
+// allocation counts and allocated bytes of table2/analyze-serial.
+func TestGateAllocs(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_ipcp.json")
+	committed := Baseline{Exhibits: []Exhibit{{Name: "table2/analyze-serial", AllocsPerOp: 1000, BytesPerOp: 100000}}}
+	blob, err := json.Marshal(committed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		allocs, bytes int64
+		fail          string
+	}{
+		{1100, 110000, ""},
+		{1101, 100000, "allocs/op 1101"},
+		{1000, 110001, "bytes/op 110001"},
+	} {
+		cur := Baseline{Exhibits: []Exhibit{{Name: "table2/analyze-serial", AllocsPerOp: tc.allocs, BytesPerOp: tc.bytes}}}
+		var out strings.Builder
+		err := gateAllocs(&out, path, &cur)
+		switch {
+		case tc.fail == "" && err != nil:
+			t.Errorf("%d allocs, %d bytes: %v", tc.allocs, tc.bytes, err)
+		case tc.fail != "" && (err == nil || !strings.Contains(err.Error(), tc.fail)):
+			t.Errorf("%d allocs, %d bytes: error %v, want one naming %q", tc.allocs, tc.bytes, err, tc.fail)
+		}
 	}
 }

@@ -78,8 +78,9 @@ func (p *Param) Pos() source.Position { return p.Position }
 // ---------------------------------------------------------------------
 // Types
 
-// BaseType is a scalar F77s type.
-type BaseType int
+// BaseType is a scalar F77s type. One byte, so per-expression type
+// tables and SSA values stay small.
+type BaseType uint8
 
 const (
 	TypeNone BaseType = iota
@@ -369,8 +370,8 @@ type Apply struct {
 	Args     []Expr
 }
 
-// Op is an expression operator.
-type Op int
+// Op is an expression operator. One byte, like BaseType.
+type Op uint8
 
 const (
 	OpAdd Op = iota // +

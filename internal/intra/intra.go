@@ -195,11 +195,9 @@ func (r *Result) Differs(opts Options, uses []*ssa.Value) bool {
 				}
 				if s := v.AuxSite; !sites[s.ID] {
 					sites[s.ID] = true
-					if info := f.Calls[s]; info != nil {
+					if info := f.Call(s); info != nil {
 						work = append(work, info.ArgVals...)
-						for _, gv := range info.GlobalVals {
-							work = append(work, gv)
-						}
+						work = append(work, info.GlobalVals()...)
 					}
 				}
 			}
@@ -231,9 +229,6 @@ type engine struct {
 	f    *ssa.Func
 	b    *symbolic.Builder
 	opts Options
-	// postCalls indexes OpPostCall values by site, so call-effect
-	// re-evaluation does not rescan the whole value list.
-	postCalls map[*cfg.CallSite][]*ssa.Value
 	// argScratch is reused for intrinsic argument vectors; Intrinsic
 	// folds its arguments pairwise and never retains the slice.
 	argScratch []*symbolic.Expr
@@ -247,12 +242,6 @@ func (e *engine) opaque(v *ssa.Value) *symbolic.Expr {
 func (e *engine) run() {
 	r := e.r
 	r.execBlock[e.f.Graph.Entry.ID] = true
-	e.postCalls = make(map[*cfg.CallSite][]*ssa.Value)
-	for _, v := range e.f.Values {
-		if v.Op == ssa.OpPostCall {
-			e.postCalls[v.AuxSite] = append(e.postCalls[v.AuxSite], v)
-		}
-	}
 	// Source values (no dependencies) are fixed up front; everything
 	// else is computed during the fixpoint iteration. Without this,
 	// never-referenced entry values (e.g. an unused formal flowing to
@@ -284,7 +273,7 @@ func (e *engine) run() {
 				continue
 			}
 			// Phis first (they are defined at block entry).
-			for _, phi := range e.f.Phis[blk] {
+			for _, phi := range e.f.Phis(blk) {
 				if e.update(phi, e.evalPhi(phi)) {
 					changed = true
 				}
@@ -523,7 +512,7 @@ func (e *engine) gammaFor(phi *ssa.Value) *symbolic.Expr {
 	if idom == nil || idom.Term.Kind != cfg.TermCond || len(idom.Succs) != 2 {
 		return nil
 	}
-	cv := e.f.TermVal[idom]
+	cv := e.f.TermVal(idom)
 	if cv == nil {
 		return nil
 	}
@@ -599,7 +588,7 @@ func succIndex(pred, blk *cfg.Block, predSlot int) int {
 // the callee's return jump functions.
 func (e *engine) evalCallEffects(in *cfg.Instr) bool {
 	site := in.Site
-	info := e.f.Calls[site]
+	info := e.f.Call(site)
 	if info == nil {
 		return false
 	}
@@ -610,7 +599,7 @@ func (e *engine) evalCallEffects(in *cfg.Instr) bool {
 	changed := false
 
 	// Post-call values of killed variables.
-	for _, v := range e.postCalls[site] {
+	for _, v := range info.Post {
 		nx := e.postCallExpr(v, info, summary)
 		if e.update(v, nx) {
 			changed = true
@@ -719,7 +708,7 @@ func (e *engine) leafValueAtSite(leaf *symbolic.Expr, info *ssa.CallInfo, callee
 		}
 		return e.r.exprs[info.ArgVals[idx].ID]
 	case symbolic.OpGlobal:
-		gv := info.GlobalVals[leaf.Global]
+		gv := info.GlobalVal(leaf.Global)
 		if gv == nil {
 			return e.b.FreshOpaque()
 		}
@@ -773,7 +762,7 @@ func (e *engine) propagateEdges(blk *cfg.Block) bool {
 		}
 		return changed
 	case cfg.TermCond:
-		cv := e.f.TermVal[blk]
+		cv := e.f.TermVal(blk)
 		var ce *symbolic.Expr
 		if cv != nil {
 			// Make sure the condition value itself is up to date.

@@ -406,7 +406,7 @@ END
 `)
 	r, fn := h.analyze(t, "S", Options{})
 	s := h.prog.Procs["S"]
-	av := fn.ExitVals[ssa.VarOf(s.Formals[0])]
+	av := fn.ExitVal(ssa.VarOf(s.Formals[0]))
 	e := r.ExprOf(av)
 	if e == nil || e.HasOpaque() {
 		t.Fatalf("exit expr of A = %v", e)

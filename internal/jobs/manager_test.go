@@ -826,17 +826,43 @@ func TestCompactionSurvivesCrash(t *testing.T) {
 	}
 }
 
+// testClock is a manual clock for Manager.now.
+type testClock struct {
+	mu sync.Mutex
+	t  time.Time
+}
+
+func (c *testClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.t
+}
+
+func (c *testClock) Advance(d time.Duration) {
+	c.mu.Lock()
+	c.t = c.t.Add(d)
+	c.mu.Unlock()
+}
+
 func TestRetentionPruning(t *testing.T) {
 	exec := newStubExec()
 	m := newTestManager(t, t.TempDir(), exec, func(c *Config) {
 		c.Policy = ipcp.JobPolicy{Retention: 30 * time.Millisecond}
 	})
 	defer m.Kill()
+	// The retention window runs on a manual clock: a job cannot be
+	// pruned before waitTerminal has seen it finish, however long the
+	// gaps between its polls.
+	clock := &testClock{t: time.Now()}
+	m.mu.Lock()
+	m.now = clock.Now
+	m.mu.Unlock()
 	acks, err := m.Submit("t", []Submission{sub("a", 0)})
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
 	waitTerminal(t, m, acks[0].ID)
+	clock.Advance(time.Minute)
 	waitCond(t, func() bool {
 		_, ok := m.Get(acks[0].ID)
 		return !ok

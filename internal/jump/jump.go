@@ -217,16 +217,13 @@ func Build(ctx context.Context, cg *callgraph.Graph, mod *modref.Info, forms *ss
 	}
 	if builder.workers > 1 || cfgr.Memo != nil {
 		builder.procBuilders = make([]*symbolic.Builder, len(cg.Order))
-		for i := range builder.procBuilders {
-			pb := symbolic.NewBuilder()
-			pb.SetMaxSize(b.MaxSize())
-			builder.procBuilders[i] = pb
-		}
 		// Every worker builder is private until the final merge below, so
 		// the truncation sum observes quiescent counters.
 		defer func() {
 			for _, pb := range builder.procBuilders {
-				b.AddTruncated(pb.Truncated())
+				if pb != nil {
+					b.AddTruncated(pb.Truncated())
+				}
 			}
 		}()
 	}
@@ -289,12 +286,19 @@ func (fb *fnBuilder) memoHit(p *sem.Procedure) *ProcMemo {
 }
 
 // builderFor returns the expression builder procedure i's analysis must
-// use: its private one in parallel mode, the shared one serially.
-func (fb *fnBuilder) builderFor(i int) *symbolic.Builder {
-	if fb.procBuilders != nil {
-		return fb.procBuilders[i]
+// use: the shared one serially, else its private one, created on first
+// use with room for about values nodes.
+func (fb *fnBuilder) builderFor(i, values int) *symbolic.Builder {
+	if fb.procBuilders == nil {
+		return fb.fns.Builder
 	}
-	return fb.fns.Builder
+	pb := fb.procBuilders[i]
+	if pb == nil {
+		pb = symbolic.NewSizedBuilder(values)
+		pb.SetMaxSize(fb.fns.Builder.MaxSize())
+		fb.procBuilders[i] = pb
+	}
+	return pb
 }
 
 // analyzeProc value-numbers procedure n under the current
@@ -303,7 +307,8 @@ func (fb *fnBuilder) analyzeProc(n *callgraph.Node) *intra.Result {
 	defer guard.Repanic("jump", n.Proc.Name)
 	cfgr := fb.fns.Config
 	i := fb.orderIdx[n.Proc]
-	b := fb.builderFor(i)
+	fn := fb.forms.Func(i)
+	b := fb.builderFor(i, len(fn.Values))
 	iopts := intra.Options{
 		Builder:          b,
 		OpaqueBase:       int64(i+1) << 32,
@@ -332,7 +337,7 @@ func (fb *fnBuilder) analyzeProc(n *callgraph.Node) *intra.Result {
 		}
 	}
 	before := b.Truncated()
-	res := intra.Analyze(fb.forms.Func(i), iopts)
+	res := intra.Analyze(fn, iopts)
 	if cfgr.UseReturnJFs && !n.Recursive {
 		// The expression-size warning and ProcMemo.Truncated count a
 		// non-recursive procedure's truncations twice when return jump
@@ -429,7 +434,7 @@ func (fb *fnBuilder) summarize(n *callgraph.Node, res *intra.Result) *intra.Retu
 		if f.IsArray || f.Type != ast.TypeInteger {
 			continue
 		}
-		if e := usableExit(res, fn.ExitVals[ssa.VarOf(f)]); e != nil {
+		if e := usableExit(res, fn.ExitVal(ssa.VarOf(f))); e != nil {
 			sum.Formals[i] = e
 		}
 	}
@@ -437,12 +442,12 @@ func (fb *fnBuilder) summarize(n *callgraph.Node, res *intra.Result) *intra.Retu
 		if g.IsArray || g.Type != ast.TypeInteger {
 			continue
 		}
-		if e := usableExit(res, fn.ExitVals[ssa.GlobalVar(g)]); e != nil {
+		if e := usableExit(res, fn.ExitVal(ssa.GlobalVar(g))); e != nil {
 			sum.Globals[g] = e
 		}
 	}
 	if r := n.Proc.Result; r != nil {
-		sum.Result = usableExit(res, fn.ExitVals[ssa.VarOf(r)])
+		sum.Result = usableExit(res, fn.ExitVal(ssa.VarOf(r)))
 	}
 	return sum
 }
@@ -478,7 +483,7 @@ func (fb *fnBuilder) buildForwards() error {
 			// original analysis observed is credited to this procedure's
 			// builder so the driver's warning reproduces exactly.
 			pfs[k] = &ProcFunctions{Proc: n.Proc, Sites: m.Sites}
-			fb.builderFor(i).AddTruncated(m.Truncated)
+			fb.builderFor(i, 0).AddTruncated(m.Truncated)
 			return nil
 		}
 		res := fb.results[i]
@@ -497,7 +502,7 @@ func (fb *fnBuilder) buildForwards() error {
 			memo.Store(n.Proc, &ProcMemo{
 				Summary:   fb.fns.Returns[n.Proc],
 				Sites:     pf.Sites,
-				Truncated: fb.builderFor(i).Truncated(),
+				Truncated: fb.builderFor(i, 0).Truncated(),
 			})
 		}
 		return nil
@@ -522,7 +527,7 @@ func (fb *fnBuilder) siteFunctions(res *intra.Result, site *cfg.CallSite, callee
 		sf.Dead = true
 		return sf
 	}
-	info := res.F.Calls[site]
+	info := res.F.Call(site)
 	kind := fb.fns.Config.Kind
 	for i, formal := range callee.Formals {
 		if i >= len(site.Args) {
@@ -544,8 +549,10 @@ func (fb *fnBuilder) siteFunctions(res *intra.Result, site *cfg.CallSite, callee
 	// The literal kind misses them entirely (§3.1.1: "this jump function
 	// misses any constant globals which are passed implicitly").
 	if kind != Literal && info != nil {
-		for g, v := range info.GlobalVals {
-			if g.Type != ast.TypeInteger || g.IsArray {
+		gs := fb.fns.Graph.Prog.Globals()
+		for n, v := range info.GlobalVals() {
+			g := gs[n]
+			if v == nil || g.Type != ast.TypeInteger {
 				continue
 			}
 			if e := restrict(kind, res.ExprOf(v), nil); e != nil {

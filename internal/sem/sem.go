@@ -62,7 +62,17 @@ type Symbol struct {
 	// non-integer PARAMETERs keep Const=false).
 	ConstValue int64
 	HasConst   bool
+
+	// slot is the symbol's dense number within its procedure (see Slot).
+	slot int
 }
+
+// Slot returns the symbol's number within its procedure: sem numbers
+// symbols densely in the order it binds them, compiler temporaries
+// (NewTemp) continuing the count, so 0 <= Slot() < Procedure.NumSlots()
+// and no two symbols of a procedure share a number. Later phases index
+// per-symbol tables by it instead of hashing *Symbol keys.
+func (s *Symbol) Slot() int { return s.slot }
 
 func (s *Symbol) String() string {
 	return fmt.Sprintf("%s %s %s", s.Kind, s.Type, s.Name)
@@ -79,7 +89,15 @@ type GlobalVar struct {
 	Name    string // canonical (first-seen) member name
 	Type    ast.BaseType
 	IsArray bool
+
+	// num is the global's position in Program.Globals() (see Num).
+	num int
 }
+
+// Num returns the global's position in its program's Globals(), fixed
+// when analysis seals the program; later phases index per-global tables
+// by it.
+func (g *GlobalVar) Num() int { return g.num }
 
 // Key returns a stable identity string, e.g. "GRID#0".
 func (g *GlobalVar) Key() string { return fmt.Sprintf("%s#%d", g.Block, g.Index) }
@@ -134,6 +152,7 @@ type Procedure struct {
 	applyKinds []ApplyKind
 
 	nextTemp int
+	numSlots int
 }
 
 // IsFunction reports whether the procedure returns a value.
@@ -149,9 +168,21 @@ func (p *Procedure) NewTemp(t ast.BaseType) *Symbol {
 	name := fmt.Sprintf("@T%d", p.nextTemp)
 	p.nextTemp++
 	s := &Symbol{Name: name, Kind: SymLocal, Type: t}
-	p.Symbols[name] = s
+	p.bind(s)
 	return s
 }
+
+// bind enters s into the scope under its name and gives it the next
+// slot. Every symbol of a procedure is bound exactly once.
+func (p *Procedure) bind(s *Symbol) {
+	s.slot = p.numSlots
+	p.numSlots++
+	p.Symbols[s.Name] = s
+}
+
+// NumSlots bounds the symbols' slots (see Symbol.Slot). It grows as the
+// CFG builder adds temporaries.
+func (p *Procedure) NumSlots() int { return p.numSlots }
 
 // Lookup returns the symbol for name, or nil.
 func (p *Procedure) Lookup(name string) *Symbol { return p.Symbols[name] }
@@ -204,12 +235,10 @@ type Program struct {
 	// globalsCache is the stable Globals() order, sealed once after
 	// analysis so solver inner loops share one slice.
 	globalsCache []*GlobalVar
-	// procIdx and globalIdx are the dense-index views sealed alongside
-	// globalsCache: procIdx[Order[i]] == i and
-	// globalIdx[Globals()[j]] == j. They let the solver keep its VAL
-	// state in flat slices instead of per-procedure maps.
-	procIdx   map[*Procedure]int
-	globalIdx map[*GlobalVar]int
+	// procIdx is the dense-index view sealed alongside globalsCache:
+	// procIdx[Order[i]] == i. With GlobalVar.Num it lets the solver keep
+	// its VAL state in flat slices instead of per-procedure maps.
+	procIdx map[*Procedure]int
 }
 
 // Globals returns all COMMON globals in a stable order. The slice is
@@ -236,9 +265,8 @@ func (pr *Program) sealGlobals() {
 		gs = append(gs, pr.CommonBlocks[b]...)
 	}
 	pr.globalsCache = gs
-	pr.globalIdx = make(map[*GlobalVar]int, len(gs))
 	for i, g := range gs {
-		pr.globalIdx[g] = i
+		g.num = i
 	}
 	pr.procIdx = make(map[*Procedure]int, len(pr.Order))
 	for i, p := range pr.Order {
@@ -262,11 +290,8 @@ func (pr *Program) ProcIndex(p *Procedure) int {
 // this program). Sealed with Globals(); safe for concurrent use
 // afterwards.
 func (pr *Program) GlobalIndex(g *GlobalVar) int {
-	if pr.globalIdx == nil {
-		pr.sealGlobals()
-	}
-	if i, ok := pr.globalIdx[g]; ok {
-		return i
+	if gs := pr.Globals(); g.num < len(gs) && gs[g.num] == g {
+		return g.num
 	}
 	return -1
 }
@@ -411,7 +436,7 @@ func (a *analyzer) declareSymbols(p *Procedure) {
 			continue
 		}
 		s := &Symbol{Name: f.Name, Kind: SymFormal, Type: implicitType(f.Name), FormalIndex: i, Pos: f.Pos()}
-		p.Symbols[f.Name] = s
+		p.bind(s)
 		p.Formals = append(p.Formals, s)
 	}
 
@@ -421,7 +446,7 @@ func (a *analyzer) declareSymbols(p *Procedure) {
 			a.errorf(u.Pos(), "function name %s collides with a formal parameter", u.Name)
 		} else {
 			s := &Symbol{Name: u.Name, Kind: SymResult, Type: u.Result, Pos: u.Pos()}
-			p.Symbols[u.Name] = s
+			p.bind(s)
 			p.Result = s
 		}
 	}
@@ -454,7 +479,7 @@ func (a *analyzer) declareSymbols(p *Procedure) {
 					s.HasConst = true
 					s.Type = ast.TypeInteger
 				}
-				p.Symbols[name] = s
+				p.bind(s)
 			}
 		case *ast.DataDecl:
 			// DATA names must exist (declared or implicit); treated as an
@@ -493,10 +518,10 @@ func (a *analyzer) declareItem(p *Procedure, it *ast.DeclItem, typ ast.BaseType)
 	if t == ast.TypeNone {
 		t = implicitType(it.Name)
 	}
-	p.Symbols[it.Name] = &Symbol{
+	p.bind(&Symbol{
 		Name: it.Name, Kind: SymLocal, Type: t,
 		IsArray: len(it.Dims) > 0, Dims: it.Dims, Pos: it.Pos(),
-	}
+	})
 }
 
 func (a *analyzer) declareCommon(p *Procedure, decl *ast.CommonDecl) {
@@ -532,7 +557,7 @@ func (a *analyzer) declareCommon(p *Procedure, decl *ast.CommonDecl) {
 			Name: it.Name, Kind: SymCommon, Type: implicitType(it.Name),
 			IsArray: len(it.Dims) > 0, Dims: it.Dims, Global: g, Pos: it.Pos(),
 		}
-		p.Symbols[it.Name] = s
+		p.bind(s)
 		p.Commons = append(p.Commons, s)
 	}
 	a.prog.CommonBlocks[block] = layout
@@ -545,7 +570,7 @@ func (a *analyzer) ensureVar(p *Procedure, name string, pos source.Position) *Sy
 		return s
 	}
 	s := &Symbol{Name: name, Kind: SymLocal, Type: implicitType(name), Pos: pos}
-	p.Symbols[name] = s
+	p.bind(s)
 	return s
 }
 

@@ -6,28 +6,29 @@ import (
 	"repro/internal/sem"
 )
 
-// Renaming: a preorder walk of the dominator tree maintaining a stack
-// of reaching definitions per variable (Cytron et al., fig. 12).
+// Renaming: a preorder walk of the dominator tree keeping each
+// variable's reaching definition (Cytron et al., fig. 12). A definition
+// logs the one it shadows on defStack; leaving the block restores them.
 
-func (b *ssaBuilder) push(v Var, val *Value) {
-	b.stacks[v] = append(b.stacks[v], val)
+// def makes val the reaching definition of v.
+func (b *ssaBuilder) def(v Var, val *Value) {
+	n := b.f.varNum(v)
+	b.defStack = append(b.defStack, savedDef{num: int32(n), old: b.vars[n].cur})
+	b.vars[n].cur = val
 }
 
 func (b *ssaBuilder) top(v Var) *Value {
-	st := b.stacks[v]
-	if len(st) == 0 {
+	vs := &b.vars[b.f.varNum(v)]
+	if vs.cur == nil {
 		// Use of a (possibly) uninitialized variable: one shared undef
-		// value per variable.
-		if u, ok := b.undefs[v]; ok {
-			return u
-		}
+		// value per variable. No definition of v is live, so nothing
+		// on defStack restores over it.
 		u := b.newValue(OpUndef, b.f.Graph.Entry)
 		u.AuxVar = v
 		u.Type = varType(v)
-		b.undefs[v] = u
-		return u
+		vs.cur = u
 	}
-	return st[len(st)-1]
+	return vs.cur
 }
 
 // varType returns a variable's declared F77s type.
@@ -51,16 +52,12 @@ func (b *ssaBuilder) cast(blk *cfg.Block, val *Value, t ast.BaseType) *Value {
 	return c
 }
 
-func (b *ssaBuilder) rename(blk *cfg.Block, phiVars map[*cfg.Block]map[Var]*Value) {
+func (b *ssaBuilder) rename(blk *cfg.Block) {
 	mark := len(b.defStack)
-	def := func(v Var, val *Value) {
-		b.push(v, val)
-		b.defStack = append(b.defStack, v)
-	}
 
 	// Phis defined at block entry.
-	for _, phi := range b.f.Phis[blk] {
-		def(phi.AuxVar, phi)
+	for _, phi := range b.f.Phis(blk) {
+		b.def(phi.AuxVar, phi)
 	}
 
 	// Instructions.
@@ -69,7 +66,7 @@ func (b *ssaBuilder) rename(blk *cfg.Block, phiVars map[*cfg.Block]map[Var]*Valu
 		case cfg.InstrAssign:
 			rhs := b.evalExpr(blk, in.Rhs)
 			if in.Lhs != nil {
-				def(VarOf(in.Lhs), b.cast(blk, rhs, in.Lhs.Type))
+				b.def(VarOf(in.Lhs), b.cast(blk, rhs, in.Lhs.Type))
 			} else {
 				// Array store: evaluate subscripts for their uses; the
 				// array itself is untracked.
@@ -86,7 +83,7 @@ func (b *ssaBuilder) rename(blk *cfg.Block, phiVars map[*cfg.Block]map[Var]*Valu
 					v := b.newValue(OpRead, blk)
 					v.AuxVar = VarOf(t.Sym)
 					v.Type = t.Sym.Type
-					def(VarOf(t.Sym), v)
+					b.def(VarOf(t.Sym), v)
 				}
 			}
 		case cfg.InstrPrint:
@@ -94,29 +91,30 @@ func (b *ssaBuilder) rename(blk *cfg.Block, phiVars map[*cfg.Block]map[Var]*Valu
 				b.evalExpr(blk, a)
 			}
 		case cfg.InstrCall:
-			b.renameCall(blk, in, def)
+			b.renameCall(blk, in)
 		}
 	}
 
 	// Terminator condition.
 	if blk.Term.Kind == cfg.TermCond {
-		b.f.TermVal[blk] = b.evalExpr(blk, blk.Term.Cond)
+		b.f.termVals[blk.ID] = b.evalExpr(blk, blk.Term.Cond)
 	}
 
 	// Record exit values for return jump functions.
 	if blk == b.f.Graph.Exit {
+		b.f.exitVals = make([]*Value, len(b.vars))
 		for _, s := range b.f.Proc.Formals {
 			if !s.IsArray {
-				b.f.ExitVals[VarOf(s)] = b.top(VarOf(s))
+				b.f.exitVals[b.f.varNum(VarOf(s))] = b.top(VarOf(s))
 			}
 		}
 		for _, g := range b.opts.Globals {
 			if !g.IsArray {
-				b.f.ExitVals[GlobalVar(g)] = b.top(GlobalVar(g))
+				b.f.exitVals[g.Num()] = b.top(GlobalVar(g))
 			}
 		}
 		if r := b.f.Proc.Result; r != nil {
-			b.f.ExitVals[VarOf(r)] = b.top(VarOf(r))
+			b.f.exitVals[b.f.varNum(VarOf(r))] = b.top(VarOf(r))
 		}
 	}
 
@@ -128,7 +126,7 @@ func (b *ssaBuilder) rename(blk *cfg.Block, phiVars map[*cfg.Block]map[Var]*Valu
 			if pred != blk {
 				continue
 			}
-			for _, phi := range b.f.Phis[succ] {
+			for _, phi := range b.f.Phis(succ) {
 				phi.Args[pi] = b.top(phi.AuxVar)
 			}
 		}
@@ -136,26 +134,23 @@ func (b *ssaBuilder) rename(blk *cfg.Block, phiVars map[*cfg.Block]map[Var]*Valu
 
 	// Recurse over dominator-tree children.
 	for _, child := range b.f.Dom.Children[blk.ID] {
-		b.rename(child, phiVars)
+		b.rename(child)
 	}
 
-	// Pop this block's definitions.
+	// Undo this block's definitions.
 	for i := len(b.defStack) - 1; i >= mark; i-- {
-		v := b.defStack[i]
-		st := b.stacks[v]
-		b.stacks[v] = st[:len(st)-1]
+		d := b.defStack[i]
+		b.vars[d.num].cur = d.old
 	}
 	b.defStack = b.defStack[:mark]
 }
 
-func (b *ssaBuilder) renameCall(blk *cfg.Block, in *cfg.Instr, def func(Var, *Value)) {
+func (b *ssaBuilder) renameCall(blk *cfg.Block, in *cfg.Instr) {
 	site := in.Site
-	info := &CallInfo{
-		Site:            site,
-		ArgVals:         make([]*Value, len(site.Args)),
-		ArgIsWholeArray: make([]bool, len(site.Args)),
-		GlobalVals:      make(map[*sem.GlobalVar]*Value),
-	}
+	info := &b.f.calls[site.ID]
+	info.Site = site
+	info.ArgVals = b.argSpan(len(site.Args))
+	info.ArgIsWholeArray = make([]bool, len(site.Args))
 	// Evaluate actuals (before any kills).
 	for i, arg := range site.Args {
 		if id, ok := arg.(*ast.Ident); ok {
@@ -167,30 +162,24 @@ func (b *ssaBuilder) renameCall(blk *cfg.Block, in *cfg.Instr, def func(Var, *Va
 		info.ArgVals[i] = b.evalExpr(blk, arg)
 	}
 	// Record the value of every global at the call.
+	ng := b.f.numGlobals
+	info.globalVals = b.globalSlab[site.ID*ng : (site.ID+1)*ng : (site.ID+1)*ng]
 	for _, g := range b.opts.Globals {
 		if !g.IsArray {
-			info.GlobalVals[g] = b.top(GlobalVar(g))
+			info.globalVals[g.Num()] = b.top(GlobalVar(g))
 		}
 	}
 	// Kills: modified variables get fresh post-call definitions.
-	killF, killG := b.killedVars(site)
-	for v := range killF {
+	kills := b.kills[b.killStart[site.ID]:b.killStart[site.ID+1]]
+	info.Post = b.argSpan(len(kills))
+	for i, n := range kills {
+		v := b.vars[n].v
 		pv := b.newValue(OpPostCall, blk)
 		pv.AuxVar = v
 		pv.AuxSite = site
 		pv.Type = varType(v)
-		def(v, pv)
-	}
-	for g := range killG {
-		v := GlobalVar(g)
-		if killF[v] {
-			continue // already killed as an actual
-		}
-		pv := b.newValue(OpPostCall, blk)
-		pv.AuxVar = v
-		pv.AuxSite = site
-		pv.Type = varType(v)
-		def(v, pv)
+		info.Post[i] = pv
+		b.def(v, pv)
 	}
 	// Function result.
 	if in.Lhs != nil {
@@ -198,9 +187,8 @@ func (b *ssaBuilder) renameCall(blk *cfg.Block, in *cfg.Instr, def func(Var, *Va
 		rv.AuxSite = site
 		rv.Type = in.Lhs.Type
 		info.Result = rv
-		def(VarOf(in.Lhs), rv)
+		b.def(VarOf(in.Lhs), rv)
 	}
-	b.f.Calls[site] = info
 }
 
 // evalExpr builds the SSA value of an expression occurrence, recording
@@ -213,16 +201,48 @@ func (b *ssaBuilder) evalExpr(blk *cfg.Block, e ast.Expr) *Value {
 	return v
 }
 
+// constVal returns the procedure's one OpConst value for c, defined in
+// the entry block so that it dominates every use.
+func (b *ssaBuilder) constVal(c int64) *Value {
+	if 2*(b.nconsts+1) > len(b.consts) {
+		old := b.consts
+		b.consts = make([]*Value, 2*len(old))
+		for _, v := range old {
+			if v != nil {
+				b.consts[b.constSlot(v.AuxInt)] = v
+			}
+		}
+	}
+	i := b.constSlot(c)
+	if v := b.consts[i]; v != nil {
+		return v
+	}
+	v := b.newValue(OpConst, b.f.Graph.Entry)
+	v.AuxInt = c
+	v.Type = ast.TypeInteger
+	b.consts[i] = v
+	b.nconsts++
+	return v
+}
+
+// constSlot returns the consts slot that holds c, or the empty slot
+// where it belongs (linear probing from a Fibonacci hash).
+func (b *ssaBuilder) constSlot(c int64) uint64 {
+	mask := uint64(len(b.consts) - 1)
+	h := uint64(c) * 0x9E3779B97F4A7C15
+	for i := (h ^ h>>32) & mask; ; i = (i + 1) & mask {
+		if v := b.consts[i]; v == nil || v.AuxInt == c {
+			return i
+		}
+	}
+}
+
 func (b *ssaBuilder) evalExpr1(blk *cfg.Block, e ast.Expr) *Value {
 	switch x := e.(type) {
 	case *ast.IntLit:
-		v := b.newValue(OpConst, blk)
-		v.AuxInt = x.Value
-		v.Type = ast.TypeInteger
-		return v
+		return b.constVal(x.Value)
 	case *ast.RealLit:
 		v := b.newValue(OpRealConst, blk)
-		v.AuxFloat = x.Value
 		v.Type = ast.TypeReal
 		return v
 	case *ast.LogLit:
@@ -240,10 +260,7 @@ func (b *ssaBuilder) evalExpr1(blk *cfg.Block, e ast.Expr) *Value {
 		switch s.Kind {
 		case sem.SymConst:
 			if s.HasConst {
-				v := b.newValue(OpConst, blk)
-				v.AuxInt = s.ConstValue
-				v.Type = ast.TypeInteger
-				return v
+				return b.constVal(s.ConstValue)
 			}
 			return b.newValue(OpUndef, blk)
 		default:

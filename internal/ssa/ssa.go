@@ -54,14 +54,14 @@ func (v Var) String() string {
 }
 
 // ValOp enumerates SSA value operators.
-type ValOp int
+type ValOp uint8
 
 const (
 	OpParam     ValOp = iota // entry value of a formal (AuxVar.Sym)
 	OpGlobalIn               // entry value of a global (AuxVar.Glob)
 	OpUndef                  // use of a possibly-uninitialized local
-	OpConst                  // integer constant (AuxInt)
-	OpRealConst              // real constant (AuxFloat); opaque to propagation
+	OpConst                  // integer constant (AuxInt); one per distinct value, in the entry block
+	OpRealConst              // real constant; opaque to propagation, so its value is not kept
 	OpBoolConst              // logical constant (AuxBool)
 	OpStr                    // character constant; opaque
 	OpPhi                    // φ; Args correspond to Block.Preds order
@@ -84,25 +84,25 @@ var valOpNames = [...]string{
 
 func (o ValOp) String() string { return valOpNames[o] }
 
-// Value is one SSA value.
+// Value is one SSA value. Its one-byte fields share the word after ID,
+// keeping the node at 88 bytes on 64-bit platforms.
 type Value struct {
-	ID    int
-	Op    ValOp
-	Args  []*Value
-	Block *cfg.Block
+	ID int32
+	Op ValOp
 	// Type is the value's F77s type. Only INTEGER values participate in
 	// constant propagation (the paper's restriction); the symbolic
 	// engine treats REAL-typed values as opaque so that integer folding
 	// is never applied to real arithmetic.
-	Type ast.BaseType
+	Type    ast.BaseType
+	AuxOp   ast.Op // OpArith
+	AuxBool bool
+	Args    []*Value
+	Block   *cfg.Block
 
-	AuxInt   int64
-	AuxFloat float64
-	AuxBool  bool
-	AuxOp    ast.Op        // OpArith
-	AuxName  string        // OpIntrinsic
-	AuxVar   Var           // OpParam/OpGlobalIn/OpUndef/OpArrayLoad/OpPostCall/OpPhi
-	AuxSite  *cfg.CallSite // OpCallRes/OpPostCall
+	AuxInt  int64
+	AuxName string        // OpIntrinsic
+	AuxVar  Var           // OpParam/OpGlobalIn/OpUndef/OpArrayLoad/OpPostCall/OpPhi
+	AuxSite *cfg.CallSite // OpCallRes/OpPostCall
 }
 
 func (v *Value) String() string {
@@ -141,34 +141,56 @@ type CallInfo struct {
 	ArgVals []*Value
 	// ArgIsWholeArray marks actuals that pass an entire array.
 	ArgIsWholeArray []bool
-	// GlobalVals holds the value of every program global just before
-	// the call — the implicit "actuals" for globals.
-	GlobalVals map[*sem.GlobalVar]*Value
+	// Post lists the OpPostCall values the call defines, one per
+	// variable it may modify: killed actuals in argument order, then
+	// killed globals in Globals() order.
+	Post []*Value
 	// Result is the OpCallRes value (function sites only).
 	Result *Value
+	// globalVals holds the value of every scalar program global just
+	// before the call — the implicit "actuals" for globals — indexed by
+	// GlobalVar.Num.
+	globalVals []*Value
 }
 
+// GlobalVal returns the value of global g just before the call (nil for
+// array globals).
+func (c *CallInfo) GlobalVal(g *sem.GlobalVar) *Value {
+	if n := g.Num(); n < len(c.globalVals) {
+		return c.globalVals[n]
+	}
+	return nil
+}
+
+// GlobalVals returns the values of the globals just before the call,
+// indexed by GlobalVar.Num (nil for array globals). The slice is shared;
+// callers must not modify it.
+func (c *CallInfo) GlobalVals() []*Value { return c.globalVals }
+
 // Func is a procedure in SSA form.
+//
+// Per-variable tables are indexed by variable number: a global's
+// GlobalVar.Num, and numGlobals plus its Slot for any other symbol.
+// Per-block tables are indexed by block ID, per-site ones by CallSite.ID.
 type Func struct {
 	Proc   *sem.Procedure
 	Graph  *cfg.Graph
 	Dom    *dom.Tree
 	Values []*Value
-	// Phis lists the phi values placed at each block.
-	Phis map[*cfg.Block][]*Value
-	// Calls maps each call site to its SSA facts.
-	Calls map[*cfg.CallSite]*CallInfo
-	// ExitVals holds the value of each tracked variable at procedure
-	// exit (used to build return jump functions).
-	ExitVals map[Var]*Value
+	// phis[phiStart[b]:phiStart[b+1]] are the phis placed at block b.
+	phis     []*Value
+	phiStart []int32
+	// calls holds each reached call site's facts (Site nil otherwise).
+	calls []CallInfo
+	// exitVals holds the value of each formal, global and function
+	// result at procedure exit (used to build return jump functions).
+	exitVals []*Value
+	// termVals holds each block's branch-condition value.
+	termVals []*Value
 	// uses records each evaluated expression occurrence, indexed by
 	// expression number and sized to Graph.NumExprs (see UseVal).
-	uses []exprUse
-	// TermVal holds each block's branch-condition value.
-	TermVal map[*cfg.Block]*Value
-	// Params/GlobalIns give the entry values.
-	Params    map[*sem.Symbol]*Value
-	GlobalIns map[*sem.GlobalVar]*Value
+	uses       []exprUse
+	numGlobals int
 }
 
 // exprUse is one expression occurrence's value and the block it
@@ -176,6 +198,46 @@ type Func struct {
 type exprUse struct {
 	val *Value
 	blk *cfg.Block
+}
+
+// varNum returns v's variable number, or -1 when v lies outside the
+// tables the form was built with.
+func (f *Func) varNum(v Var) int {
+	if v.Glob != nil {
+		if n := v.Glob.Num(); n < f.numGlobals {
+			return n
+		}
+		return -1
+	}
+	return f.numGlobals + v.Sym.Slot()
+}
+
+// Phis returns the phi values placed at blk.
+func (f *Func) Phis(blk *cfg.Block) []*Value {
+	return f.phis[f.phiStart[blk.ID]:f.phiStart[blk.ID+1]]
+}
+
+// TermVal returns blk's branch-condition value (nil unless blk ends in
+// a reached conditional branch).
+func (f *Func) TermVal(blk *cfg.Block) *Value { return f.termVals[blk.ID] }
+
+// Call returns the SSA facts at site, or nil if renaming never reached
+// it.
+func (f *Func) Call(site *cfg.CallSite) *CallInfo {
+	if c := &f.calls[site.ID]; c.Site != nil {
+		return c
+	}
+	return nil
+}
+
+// ExitVal returns the value of a formal, global or function result of
+// the procedure at exit, or nil for any other variable or when the exit
+// is unreachable.
+func (f *Func) ExitVal(v Var) *Value {
+	if n := f.varNum(v); n >= 0 && n < len(f.exitVals) {
+		return f.exitVals[n]
+	}
+	return nil
 }
 
 // UseVal returns the value of an expression occurrence of the graph's
@@ -211,63 +273,117 @@ type Options struct {
 	// assumptions are used (every reference actual and every global is
 	// killed) — the "no MOD information" configuration of Table 3.
 	Kills KillFunc
-	// Globals lists every program global (needed to give each one an
-	// entry value and record it at call sites).
+	// Globals lists every program global in Program.Globals() order
+	// (needed to give each one an entry value and record it at call
+	// sites).
 	Globals []*sem.GlobalVar
 }
 
-// Build converts one procedure to SSA form.
+// Build converts one procedure to SSA form. It reads the procedure's
+// symbol slots and the globals' numbers and writes nothing shared, so
+// forms of one procedure may be built concurrently.
 func Build(g *cfg.Graph, dt *dom.Tree, opts Options) *Func {
-	f := &Func{
-		Proc:      g.Proc,
-		Graph:     g,
-		Dom:       dt,
-		Phis:      make(map[*cfg.Block][]*Value),
-		Calls:     make(map[*cfg.CallSite]*CallInfo),
-		ExitVals:  make(map[Var]*Value),
-		uses:      make([]exprUse, g.NumExprs),
-		TermVal:   make(map[*cfg.Block]*Value),
-		Params:    make(map[*sem.Symbol]*Value),
-		GlobalIns: make(map[*sem.GlobalVar]*Value),
+	p := g.Proc
+	ng := len(opts.Globals)
+	for _, s := range p.Commons {
+		if n := s.Global.Num() + 1; n > ng {
+			ng = n
+		}
 	}
-	b := &ssaBuilder{f: f, opts: opts, stacks: make(map[Var][]*Value), undefs: make(map[Var]*Value)}
+	f := &Func{
+		Proc:       p,
+		Graph:      g,
+		Dom:        dt,
+		calls:      make([]CallInfo, len(g.Sites)),
+		termVals:   make([]*Value, len(g.Blocks)),
+		uses:       make([]exprUse, g.NumExprs),
+		numGlobals: ng,
+	}
+	b := &ssaBuilder{
+		f:      f,
+		opts:   opts,
+		vars:   make([]varState, ng+p.NumSlots()),
+		consts: make([]*Value, constsFirst),
+	}
 	b.build()
 	return f
 }
 
 // Arena chunk bounds: SSA values, and Args pointers, per slab
-// allocation. Chunks start at the first size and double up to the
-// maximum (arena.NextChunk), so a small procedure's form allocates
-// little slack while a large one grows chunk-at-a-time with stable
-// *Value addresses throughout.
+// allocation after the first. The first chunks are sized from what the
+// graph already tells (see build), so most forms fit in one; chunks
+// after it start at the first size here and double up to the maximum
+// (arena.NextChunk), keeping *Value addresses stable throughout.
 const (
 	valueChunkFirst, valueChunk = 16, 256
 	argChunkFirst, argChunk     = 64, 1024
+	// constsFirst is the constant table's initial slot count.
+	constsFirst = 16
 )
 
+// varState is one variable's renaming state.
+type varState struct {
+	// cur is the reaching definition during renaming (nil: none yet).
+	cur *Value
+	// v is the variable; set once it has a definition.
+	v Var
+	// defs heads the variable's def-block list: 1 + an index into
+	// ssaBuilder.defs, or 0 when the variable has no definition.
+	defs int32
+	// killMark is 1 + the ID of the last call site that listed the
+	// variable among its kills.
+	killMark int32
+}
+
+// defBlock links one (variable, block) definition pair into the
+// variable's list, most recent block first.
+type defBlock struct {
+	blk, next int32
+}
+
+// savedDef records a renaming definition to undo on leaving its block.
+type savedDef struct {
+	num int32
+	old *Value
+}
+
 type ssaBuilder struct {
-	f      *Func
-	opts   Options
-	stacks map[Var][]*Value
-	undefs map[Var]*Value
+	f    *Func
+	opts Options
+	vars []varState
+	defs []defBlock
+	// consts is an open-addressed table of the OpConst values, kept at
+	// most half full; nconsts counts its entries.
+	consts  []*Value
+	nconsts int
+	// kills[killStart[s]:killStart[s+1]] are the numbers of the
+	// variables call site s may modify, in CallInfo.Post order.
+	kills     []int32
+	killStart []int32
 	// arena is the chunk of Value nodes currently being filled; argSlab
 	// is the shared backing store that per-value Args slices are carved
-	// from. Both trade per-node heap allocations for slab allocations.
-	arena   []Value
-	argSlab []*Value
+	// from. Both trade per-node heap allocations for slab allocations,
+	// as does globalSlab, which holds every site's global values,
+	// numGlobals per site ID.
+	arena      []Value
+	argSlab    []*Value
+	globalSlab []*Value
+	// valGrown and argGrown are the sizes of the last chunks added
+	// after the first.
+	valGrown, argGrown int
 	// defStack is the shared renaming-definition log: rename records a
-	// watermark on entry and pops back to it on exit, replacing a
-	// per-block pushed slice.
-	defStack []Var
+	// watermark on entry and pops back to it on exit.
+	defStack []savedDef
 }
 
 func (b *ssaBuilder) newValue(op ValOp, blk *cfg.Block) *Value {
 	if len(b.arena) == cap(b.arena) {
-		b.arena = make([]Value, 0, arena.NextChunk(cap(b.arena), valueChunkFirst, valueChunk))
+		b.valGrown = arena.NextChunk(b.valGrown, valueChunkFirst, valueChunk)
+		b.arena = make([]Value, 0, b.valGrown)
 	}
 	b.arena = b.arena[:len(b.arena)+1]
 	v := &b.arena[len(b.arena)-1]
-	v.ID = len(b.f.Values)
+	v.ID = int32(len(b.f.Values))
 	v.Op = op
 	v.Block = blk
 	b.f.Values = append(b.f.Values, v)
@@ -278,40 +394,81 @@ func (b *ssaBuilder) newValue(op ValOp, blk *cfg.Block) *Value {
 // shared args slab.
 func (b *ssaBuilder) argSpan(n int) []*Value {
 	if len(b.argSlab)+n > cap(b.argSlab) {
-		c := arena.NextChunk(cap(b.argSlab), argChunkFirst, argChunk)
-		if n > c {
-			c = n
-		}
-		b.argSlab = make([]*Value, 0, c)
+		b.argGrown = arena.NextChunk(b.argGrown, argChunkFirst, argChunk)
+		b.argSlab = make([]*Value, 0, max(n, b.argGrown))
 	}
 	lo := len(b.argSlab)
 	b.argSlab = b.argSlab[:lo+n]
 	return b.argSlab[lo : lo+n : lo+n]
 }
 
-// trackedVars returns the set of variables to rename: every scalar,
-// non-constant symbol of the procedure plus every program global.
-func (b *ssaBuilder) trackedVars() map[Var]bool {
-	vars := make(map[Var]bool)
-	for _, s := range b.f.Proc.Symbols {
-		if s.Kind == sem.SymConst || s.Kind == sem.SymProc || s.IsArray {
-			continue
-		}
-		vars[VarOf(s)] = true
+// tracked reports whether a symbol is renamed: scalar variables only.
+func tracked(s *sem.Symbol) bool {
+	return s.Kind != sem.SymConst && s.Kind != sem.SymProc && !s.IsArray
+}
+
+// addDef records that v is defined in blk.
+func (b *ssaBuilder) addDef(v Var, blk *cfg.Block) {
+	vs := &b.vars[b.f.varNum(v)]
+	if vs.defs != 0 && b.defs[vs.defs-1].blk == int32(blk.ID) {
+		return
 	}
-	for _, g := range b.opts.Globals {
-		if !g.IsArray {
-			vars[GlobalVar(g)] = true
-		}
-	}
-	return vars
+	vs.v = v
+	b.defs = append(b.defs, defBlock{blk: int32(blk.ID), next: vs.defs})
+	vs.defs = int32(len(b.defs))
 }
 
 func (b *ssaBuilder) build() {
 	f := b.f
 	g := f.Graph
 	entry := g.Entry
-	vars := b.trackedVars()
+
+	// Def blocks and call kill lists, in one walk. Sites are numbered
+	// in block order, so the walk meets them by ascending ID.
+	for _, s := range f.Proc.Formals {
+		if !s.IsArray {
+			b.addDef(VarOf(s), entry)
+		}
+	}
+	for _, gl := range b.opts.Globals {
+		if !gl.IsArray {
+			b.addDef(GlobalVar(gl), entry)
+		}
+	}
+	b.killStart = make([]int32, len(g.Sites)+1)
+	nargs := 0
+	for _, blk := range g.Blocks {
+		for _, in := range blk.Instrs {
+			switch in.Kind {
+			case cfg.InstrAssign:
+				if in.Lhs != nil && tracked(in.Lhs) {
+					b.addDef(VarOf(in.Lhs), blk)
+				}
+			case cfg.InstrRead:
+				for _, t := range in.Targets {
+					if t.Subs == nil && t.Sym != nil && tracked(t.Sym) {
+						b.addDef(VarOf(t.Sym), blk)
+					}
+				}
+			case cfg.InstrCall:
+				if in.Lhs != nil && tracked(in.Lhs) {
+					b.addDef(VarOf(in.Lhs), blk)
+				}
+				b.collectKills(in.Site, blk)
+				nargs += len(in.Site.Args)
+			}
+		}
+	}
+
+	// Size the first chunks from the graph: entry values, post-call
+	// values and call results, plus one value and one argument per two
+	// expression nodes (identifiers, about half of them, and repeated
+	// constants make no value; phis take some of that share).
+	nvals := g.NumExprs/2 + len(f.Proc.Formals) + len(b.opts.Globals) + len(b.kills) + len(g.Sites)
+	b.arena = make([]Value, 0, nvals)
+	b.argSlab = make([]*Value, 0, g.NumExprs/2+len(b.kills)+nargs)
+	f.Values = make([]*Value, 0, nvals)
+	b.globalSlab = make([]*Value, len(g.Sites)*f.numGlobals)
 
 	// Entry definitions.
 	for _, s := range f.Proc.Formals {
@@ -321,8 +478,7 @@ func (b *ssaBuilder) build() {
 		v := b.newValue(OpParam, entry)
 		v.AuxVar = VarOf(s)
 		v.Type = s.Type
-		f.Params[s] = v
-		b.push(VarOf(s), v)
+		b.vars[f.varNum(v.AuxVar)].cur = v
 	}
 	for _, gl := range b.opts.Globals {
 		if gl.IsArray {
@@ -331,136 +487,115 @@ func (b *ssaBuilder) build() {
 		v := b.newValue(OpGlobalIn, entry)
 		v.AuxVar = GlobalVar(gl)
 		v.Type = gl.Type
-		f.GlobalIns[gl] = v
-		b.push(GlobalVar(gl), v)
+		b.vars[gl.Num()].cur = v
 	}
 
-	// Phi placement: collect def blocks per variable, then iterate
-	// dominance frontiers.
-	defBlocks := b.collectDefBlocks(vars)
-	// Per-block phi maps are allocated lazily: most blocks get none.
-	phiVars := make(map[*cfg.Block]map[Var]*Value)
-	for v, blocks := range defBlocks {
-		work := make([]*cfg.Block, 0, len(blocks))
-		inWork := make(map[*cfg.Block]bool)
-		for blk := range blocks {
-			work = append(work, blk)
-			inWork[blk] = true
-		}
-		for len(work) > 0 {
-			blk := work[len(work)-1]
-			work = work[:len(work)-1]
-			if !f.Dom.Reachable(blk) {
-				continue
-			}
-			for _, df := range f.Dom.Frontier[blk.ID] {
-				if _, has := phiVars[df][v]; has {
-					continue
-				}
-				phi := b.newValue(OpPhi, df)
-				phi.AuxVar = v
-				phi.Type = varType(v)
-				phi.Args = b.argSpan(len(df.Preds))
-				if phiVars[df] == nil {
-					phiVars[df] = make(map[Var]*Value)
-				}
-				phiVars[df][v] = phi
-				f.Phis[df] = append(f.Phis[df], phi)
-				if !inWork[df] {
-					work = append(work, df)
-					inWork[df] = true
-				}
-			}
-		}
-	}
-
-	// Renaming over the dominator tree.
-	b.rename(entry, phiVars)
+	b.placePhis()
+	b.rename(entry)
 }
 
-// collectDefBlocks finds, per variable, the blocks containing a def.
-// Entry defs (params/globals) are in the entry block.
-func (b *ssaBuilder) collectDefBlocks(vars map[Var]bool) map[Var]map[*cfg.Block]bool {
-	defs := make(map[Var]map[*cfg.Block]bool)
-	add := func(v Var, blk *cfg.Block) {
-		if !vars[v] {
-			return
-		}
-		if defs[v] == nil {
-			defs[v] = make(map[*cfg.Block]bool)
-		}
-		defs[v][blk] = true
-	}
-	entry := b.f.Graph.Entry
-	for _, s := range b.f.Proc.Formals {
-		if !s.IsArray {
-			add(VarOf(s), entry)
-		}
-	}
-	for _, g := range b.opts.Globals {
-		if !g.IsArray {
-			add(GlobalVar(g), entry)
-		}
-	}
-	for _, blk := range b.f.Graph.Blocks {
-		for _, in := range blk.Instrs {
-			switch in.Kind {
-			case cfg.InstrAssign:
-				if in.Lhs != nil {
-					add(VarOf(in.Lhs), blk)
-				}
-			case cfg.InstrRead:
-				for _, t := range in.Targets {
-					if t.Subs == nil && t.Sym != nil && !t.Sym.IsArray {
-						add(VarOf(t.Sym), blk)
-					}
-				}
-			case cfg.InstrCall:
-				if in.Lhs != nil {
-					add(VarOf(in.Lhs), blk)
-				}
-				killsF, killsG := b.killedVars(in.Site)
-				for v := range killsF {
-					add(v, blk)
-				}
-				for g := range killsG {
-					add(GlobalVar(g), blk)
-				}
-			}
-		}
-	}
-	return defs
-}
-
-// killedVars computes the caller-side variables a call may modify:
-// scalar variable actuals bound to killed formals, and killed globals.
-func (b *ssaBuilder) killedVars(site *cfg.CallSite) (map[Var]bool, map[*sem.GlobalVar]bool) {
+// collectKills appends the variables the call at site may modify to the
+// kill lists: scalar variable actuals bound to killed formals, then
+// killed globals, each once. Each is also a definition in blk.
+func (b *ssaBuilder) collectKills(site *cfg.CallSite, blk *cfg.Block) {
 	var killF map[int]bool
 	var killG map[*sem.GlobalVar]bool
 	all := true
 	if b.opts.Kills != nil {
 		killF, killG, all = b.opts.Kills(site)
 	}
-	outF := make(map[Var]bool)
+	mark := int32(site.ID + 1)
+	kill := func(v Var) {
+		n := b.f.varNum(v)
+		if b.vars[n].killMark == mark {
+			return
+		}
+		b.vars[n].killMark = mark
+		b.kills = append(b.kills, int32(n))
+		b.addDef(v, blk)
+	}
 	for i, arg := range site.Args {
 		if !all && !killF[i] {
 			continue
 		}
 		if id, ok := arg.(*ast.Ident); ok {
-			if s := b.f.Proc.Lookup(id.Name); s != nil && !s.IsArray &&
-				(s.Kind == sem.SymLocal || s.Kind == sem.SymFormal || s.Kind == sem.SymCommon || s.Kind == sem.SymResult) {
-				outF[VarOf(s)] = true
+			if s := b.f.Proc.Lookup(id.Name); s != nil && tracked(s) {
+				kill(VarOf(s))
 			}
 		}
 	}
-	outG := make(map[*sem.GlobalVar]bool)
-	for _, g := range b.opts.Globals {
-		if g.IsArray {
-			continue
-		}
-		if all || killG[g] {
-			outG[g] = true
+	if all || len(killG) > 0 {
+		for _, g := range b.opts.Globals {
+			if !g.IsArray && (all || killG[g]) {
+				kill(GlobalVar(g))
+			}
 		}
 	}
-	return outF, outG
+	b.killStart[site.ID+1] = int32(len(b.kills))
+}
+
+// placePhis places phis on the iterated dominance frontiers of each
+// variable's def blocks, variable by variable in number order, so value
+// numbering is the same on every build. Stamps (1 + variable number)
+// mark the blocks that already have the variable's phi or sit on its
+// worklist.
+func (b *ssaBuilder) placePhis() {
+	f := b.f
+	nblk := len(f.Graph.Blocks)
+	hasPhi := make([]int32, 2*nblk)
+	inWork := hasPhi[nblk:]
+	var work []int32
+	first := len(f.Values)
+	for n := range b.vars {
+		vs := &b.vars[n]
+		if vs.defs == 0 {
+			continue
+		}
+		stamp := int32(n + 1)
+		work = work[:0]
+		for d := vs.defs; d != 0; d = b.defs[d-1].next {
+			blk := b.defs[d-1].blk
+			inWork[blk] = stamp
+			work = append(work, blk)
+		}
+		for len(work) > 0 {
+			blk := f.Graph.Blocks[work[len(work)-1]]
+			work = work[:len(work)-1]
+			if !f.Dom.Reachable(blk) {
+				continue
+			}
+			for _, df := range f.Dom.Frontier[blk.ID] {
+				if hasPhi[df.ID] == stamp {
+					continue
+				}
+				hasPhi[df.ID] = stamp
+				phi := b.newValue(OpPhi, df)
+				phi.AuxVar = vs.v
+				phi.Type = varType(vs.v)
+				phi.Args = b.argSpan(len(df.Preds))
+				if inWork[df.ID] != stamp {
+					inWork[df.ID] = stamp
+					work = append(work, int32(df.ID))
+				}
+			}
+		}
+	}
+
+	// Group the phis by block, keeping placement order within a block.
+	placed := f.Values[first:]
+	f.phiStart = make([]int32, nblk+1)
+	for _, phi := range placed {
+		f.phiStart[phi.Block.ID+1]++
+	}
+	for i := 1; i <= nblk; i++ {
+		f.phiStart[i] += f.phiStart[i-1]
+	}
+	f.phis = make([]*Value, len(placed))
+	fill := hasPhi[:nblk]
+	clear(fill)
+	for _, phi := range placed {
+		id := phi.Block.ID
+		f.phis[f.phiStart[id]+fill[id]] = phi
+		fill[id]++
+	}
 }

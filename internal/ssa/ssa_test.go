@@ -1,7 +1,10 @@
 package ssa
 
 import (
+	"fmt"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/ast"
 	"repro/internal/callgraph"
@@ -12,6 +15,7 @@ import (
 	"repro/internal/parser"
 	"repro/internal/sem"
 	"repro/internal/source"
+	"repro/internal/suite"
 )
 
 // buildSSA runs the full front end and returns the SSA of one procedure
@@ -64,7 +68,7 @@ PRINT *, J
 END
 `, "P")
 	// Every value appears exactly once in fn.Values with a unique ID.
-	seen := make(map[int]bool)
+	seen := make(map[int32]bool)
 	for _, v := range fn.Values {
 		if seen[v.ID] {
 			t.Fatalf("duplicate value ID %d", v.ID)
@@ -87,8 +91,8 @@ END
 `, "P")
 	// Find a phi for J.
 	var phi *Value
-	for _, phis := range fn.Phis {
-		for _, p := range phis {
+	for _, blk := range fn.Graph.Blocks {
+		for _, p := range fn.Phis(blk) {
 			if p.AuxVar.Sym != nil && p.AuxVar.Sym.Name == "J" {
 				phi = p
 			}
@@ -122,8 +126,8 @@ END
 `, "P")
 	// S needs a phi at the loop head merging 0 and S+I.
 	var sPhis int
-	for _, phis := range fn.Phis {
-		for _, p := range phis {
+	for _, blk := range fn.Graph.Blocks {
+		for _, p := range fn.Phis(blk) {
 			if p.AuxVar.Sym != nil && p.AuxVar.Sym.Name == "S" {
 				sPhis++
 			}
@@ -177,13 +181,23 @@ PRINT *, A + B + G
 END
 `, "S")
 	s := prog.Procs["S"]
-	if fn.Params[s.Formals[0]] == nil || fn.Params[s.Formals[1]] == nil {
+	if entryVal(fn, OpParam, VarOf(s.Formals[0])) == nil || entryVal(fn, OpParam, VarOf(s.Formals[1])) == nil {
 		t.Fatal("missing param entry values")
 	}
 	g := prog.CommonBlocks["C"][0]
-	if fn.GlobalIns[g] == nil {
+	if entryVal(fn, OpGlobalIn, GlobalVar(g)) == nil {
 		t.Fatal("missing global entry value")
 	}
+}
+
+// entryVal returns fn's entry value of op for v, or nil.
+func entryVal(fn *Func, op ValOp, v Var) *Value {
+	for _, val := range fn.Values {
+		if val.Op == op && val.AuxVar == v && val.Block == fn.Graph.Entry {
+			return val
+		}
+	}
+	return nil
 }
 
 func TestExitValsIdentityForUnmodifiedFormal(t *testing.T) {
@@ -199,8 +213,8 @@ END
 	s := prog.Procs["S"]
 	aVar := VarOf(s.Formals[0])
 	bVar := VarOf(s.Formals[1])
-	av := fn.ExitVals[aVar]
-	bv := fn.ExitVals[bVar]
+	av := fn.ExitVal(aVar)
+	bv := fn.ExitVal(bVar)
 	if bv == nil || bv.Op != OpParam {
 		t.Errorf("unmodified B at exit should be its entry param, got %v", bv)
 	}
@@ -289,12 +303,11 @@ END
 		t.Errorf("G after call = %v, want PostCall", gv)
 	}
 	// The call info must have recorded G's pre-call value (const 5).
-	var site *cfg.CallSite
-	for s := range fn.Calls {
-		site = s
+	if len(fn.Graph.Sites) != 1 {
+		t.Fatalf("sites = %d", len(fn.Graph.Sites))
 	}
-	info := fn.Calls[site]
-	pre := info.GlobalVals[g]
+	info := fn.Call(fn.Graph.Sites[0])
+	pre := info.GlobalVal(g)
 	if pre == nil || pre.Op != OpConst || pre.AuxInt != 5 {
 		t.Errorf("pre-call global value = %v, want const 5", pre)
 	}
@@ -311,10 +324,16 @@ INTEGER W, X, Y(10), Z
 W = Z + Y(1) + X
 END
 `, "P")
-	if len(fn.Calls) != 1 {
-		t.Fatalf("calls = %d", len(fn.Calls))
+	var calls []*CallInfo
+	for _, site := range fn.Graph.Sites {
+		if info := fn.Call(site); info != nil {
+			calls = append(calls, info)
+		}
 	}
-	for _, info := range fn.Calls {
+	if len(calls) != 1 {
+		t.Fatalf("calls = %d", len(calls))
+	}
+	for _, info := range calls {
 		if len(info.ArgVals) != 4 {
 			t.Fatalf("args = %d", len(info.ArgVals))
 		}
@@ -365,7 +384,7 @@ F = X + 40
 END
 `, "F")
 	f := prog.Procs["F"]
-	rv := fn.ExitVals[VarOf(f.Result)]
+	rv := fn.ExitVal(VarOf(f.Result))
 	if rv == nil || rv.Op != OpArith {
 		t.Errorf("result exit value = %v, want arith X+40", rv)
 	}
@@ -445,7 +464,7 @@ func TestSSAInvariantsOnRandomPrograms(t *testing.T) {
 			dt := dom.Compute(n.CFG)
 			fn := Build(n.CFG, dt, Options{Kills: info.Kills, Globals: prog.Globals()})
 
-			seen := make(map[int]bool)
+			seen := make(map[int32]bool)
 			for _, v := range fn.Values {
 				if seen[v.ID] {
 					t.Fatalf("seed %d %s: duplicate ID %d", seed, n.Proc.Name, v.ID)
@@ -500,7 +519,7 @@ func TestSSAInvariantsOnRandomPrograms(t *testing.T) {
 							requireUses(a)
 						}
 					case cfg.InstrCall:
-						info := fn.Calls[in.Site]
+						info := fn.Call(in.Site)
 						for i, a := range in.Site.Args {
 							if !info.ArgIsWholeArray[i] {
 								requireUses(a)
@@ -548,5 +567,75 @@ func TestUnnumberedExpressionsAreNotRecorded(t *testing.T) {
 	}
 	if v := fn.UseVal(id); v == nil || v.Op != OpConst || v.AuxInt != 1 {
 		t.Errorf("UseVal(I) = %v, want const 1", v)
+	}
+}
+
+// valueSig renders everything SSA construction decides about a value:
+// its number, operator, type, aux fields, block and argument numbers.
+func valueSig(v *Value) string {
+	site := -1
+	if v.AuxSite != nil {
+		site = v.AuxSite.ID
+	}
+	aux := ""
+	if v.AuxVar != (Var{}) {
+		aux = v.AuxVar.String()
+	}
+	args := make([]string, len(v.Args))
+	for i, a := range v.Args {
+		args[i] = "nil"
+		if a != nil {
+			args[i] = fmt.Sprint(a.ID)
+		}
+	}
+	return fmt.Sprintf("%d %s %s int=%d bool=%t op=%s name=%s var=%s site=%d b%d [%s]",
+		v.ID, v.Op, v.Type, v.AuxInt, v.AuxBool, v.AuxOp, v.AuxName, aux, site, v.Block.ID, strings.Join(args, " "))
+}
+
+// TestBuildIsDeterministic builds every procedure of the suite and of
+// generated 16- and 64-procedure programs twice, under MOD kills and
+// under worst-case kills, and requires identical value sequences.
+// Value numbers are observable: the engine derives opaque identities
+// from them.
+func TestBuildIsDeterministic(t *testing.T) {
+	srcs := map[string]string{
+		"gen16": gen.Program(gen.Config{Seed: 16, NumProcs: 16}),
+		"gen64": gen.Program(gen.Config{Seed: 64, NumProcs: 64}),
+	}
+	for _, sp := range suite.Programs() {
+		srcs[sp.Name] = suite.Source(sp)
+	}
+	for name, src := range srcs {
+		var diags source.ErrorList
+		f := parser.ParseSource(name+".f", src, &diags)
+		prog := sem.Analyze(f, &diags)
+		if diags.HasErrors() {
+			t.Fatalf("%s: %s", name, diags.Error())
+		}
+		cg := callgraph.Build(prog)
+		info := modref.Compute(cg)
+		for _, kills := range []KillFunc{info.Kills, nil} {
+			opts := Options{Kills: kills, Globals: prog.Globals()}
+			for _, n := range cg.Order {
+				first := Build(n.CFG, dom.Compute(n.CFG), opts)
+				second := Build(n.CFG, dom.Compute(n.CFG), opts)
+				if len(first.Values) != len(second.Values) {
+					t.Fatalf("%s/%s: %d values, then %d", name, n.Proc.Name, len(first.Values), len(second.Values))
+				}
+				for i, v := range first.Values {
+					if a, b := valueSig(v), valueSig(second.Values[i]); a != b {
+						t.Fatalf("%s/%s: value %d differs between builds:\n%s\n%s", name, n.Proc.Name, i, a, b)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestValueSize pins the SSA value layout: every procedure's form holds
+// one per value, so the node size sets most of SSA's memory.
+func TestValueSize(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got > 88 {
+		t.Errorf("Value is %d bytes, want at most 88", got)
 	}
 }

@@ -187,10 +187,11 @@ func substProc(cg *callgraph.Graph, mod *modref.Info, forms *ssa.Table, i int, o
 	// Each re-run interns into a builder of its own: workers run
 	// concurrently, and jump construction's builders hold expressions
 	// that cached jump functions share with other analyses.
-	iopts.Builder = symbolic.NewBuilder()
+	fn := forms.Func(i)
+	iopts.Builder = symbolic.NewSizedBuilder(len(fn.Values))
 	iopts.Builder.SetMaxSize(opts.MaxExprSize)
 	c := &counter{
-		proc: n.Proc, cg: cg, mod: mod, res: intra.Analyze(forms.Func(i), iopts),
+		proc: n.Proc, cg: cg, mod: mod, res: intra.Analyze(fn, iopts),
 		useMOD: opts.UseMOD, repl: repl,
 	}
 	c.walkStmts(body)

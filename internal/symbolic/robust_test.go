@@ -8,7 +8,7 @@ import (
 )
 
 func TestFromASTOpUnmappedIsInvalid(t *testing.T) {
-	if op := FromASTOp(ast.Op(999)); op != OpInvalid {
+	if op := FromASTOp(ast.Op(255)); op != OpInvalid {
 		t.Fatalf("FromASTOp(bogus) = %v, want OpInvalid", op)
 	}
 }

@@ -18,9 +18,11 @@
 // that start small and double up to a fixed size (so *Expr handles stay
 // stable while the pool grows without per-node heap allocation, and a
 // small builder stays small), every node carries a dense uint32
-// pool id, and interior nodes are deduplicated through an
-// open-addressed table keyed on the packed {op, kid0, kid1, kid2}
-// struct — no per-intern map churn, no allocation on an intern hit.
+// pool id, and interior nodes, constants and opaque values are
+// deduplicated through an open-addressed table keyed on the packed
+// {op, kid0, kid1, kid2} struct (a constant's or opaque identity's 64
+// bits fill the first two kid slots) — no per-intern map churn, no
+// allocation on an intern hit.
 // Args and support slices are carved out of shared backing slabs.
 // Pool ids are builder-local bookkeeping only: every cross-builder
 // order (commutative canonicalization, support order) goes through
@@ -172,9 +174,10 @@ const (
 )
 
 // internKey identifies an interior node by operator and packed argument
-// pool ids. The widest constructor (Gamma) has three arguments.
+// pool ids (the widest constructor, Gamma, has three arguments), or an
+// OpConst or OpOpaque leaf by its 64-bit payload split over a0 and a1.
 type internKey struct {
-	op         Op
+	op         int32 // an Op; 32 bits keep a table slot at 24 bytes
 	a0, a1, a2 uint32
 }
 
@@ -194,8 +197,8 @@ type Builder struct {
 	cur    []Expr
 	nextID uint32
 
-	// Open-addressed intern table for interior nodes. len(table) is a
-	// power of two; grows at 3/4 load.
+	// Open-addressed intern table for interior nodes, constants and
+	// opaque values. len(table) is a power of two; grows at 3/4 load.
 	table []internSlot
 	used  int
 
@@ -207,8 +210,6 @@ type Builder struct {
 
 	params   map[*sem.Symbol]*Expr
 	globals  map[*sem.GlobalVar]*Expr
-	opaques  map[int64]*Expr
-	consts   map[int64]*Expr
 	trueE    *Expr
 	falseE   *Expr
 	nextAnon int64 // generator for fresh opaque identities
@@ -245,13 +246,28 @@ func (b *Builder) AddTruncated(n int) {
 }
 
 // NewBuilder returns an empty interning pool.
-func NewBuilder() *Builder {
-	return &Builder{
+func NewBuilder() *Builder { return NewSizedBuilder(0) }
+
+// NewSizedBuilder returns an empty interning pool whose first node
+// chunk, pointer chunk and intern table fit about n nodes, for a caller
+// that knows its size ahead (one procedure's value numbering interns
+// about one node per SSA value). n <= 0 starts small, like NewBuilder.
+func NewSizedBuilder(n int) *Builder {
+	b := &Builder{
 		params:  make(map[*sem.Symbol]*Expr),
 		globals: make(map[*sem.GlobalVar]*Expr),
-		opaques: make(map[int64]*Expr),
-		consts:  make(map[int64]*Expr),
 	}
+	if n > exprChunkFirst {
+		b.cur = make([]Expr, 0, n)
+		b.chunks = append(b.chunks, b.cur)
+		b.ptrSlab = make([]*Expr, 0, 2*n)
+		t := tableFirst
+		for 3*t < 4*n {
+			t *= 2
+		}
+		b.table = make([]internSlot, t)
+	}
+	return b
 }
 
 // NumExprs returns the number of nodes interned in the pool.
@@ -425,15 +441,19 @@ func StructCompare(x, y *Expr) int {
 }
 
 // Const returns the interned constant c.
-func (b *Builder) Const(c int64) *Expr {
-	if e, ok := b.consts[c]; ok {
+func (b *Builder) Const(c int64) *Expr { return b.leaf(OpConst, c) }
+
+// leaf interns an OpConst or OpOpaque leaf with payload k.
+func (b *Builder) leaf(op Op, k int64) *Expr {
+	key := internKey{op: int32(op), a0: uint32(k), a1: uint32(uint64(k) >> 32), a2: noKid}
+	if e := b.find(key); e != nil {
 		return e
 	}
 	e := b.alloc()
-	e.Op = OpConst
-	e.K = c
+	e.Op = op
+	e.K = k
 	b.intern(e)
-	b.consts[c] = e
+	b.insert(key, e)
 	return e
 }
 
@@ -484,17 +504,7 @@ func (b *Builder) GlobalLeaf(g *sem.GlobalVar) *Expr {
 
 // Opaque returns the opaque expression with the given identity. Two
 // opaque expressions are equal iff their identities are equal.
-func (b *Builder) Opaque(id int64) *Expr {
-	if e, ok := b.opaques[id]; ok {
-		return e
-	}
-	e := b.alloc()
-	e.Op = OpOpaque
-	e.K = id
-	b.intern(e)
-	b.opaques[id] = e
-	return e
-}
+func (b *Builder) Opaque(id int64) *Expr { return b.leaf(OpOpaque, id) }
 
 // FreshOpaque returns an opaque expression with a new identity,
 // distinct from all ids passed to Opaque (fresh ids are negative).
@@ -586,7 +596,7 @@ func (b *Builder) node1(op Op, x *Expr) *Expr {
 	if b.overBudget(x.size) {
 		return b.FreshOpaque()
 	}
-	k := internKey{op: op, a0: x.id, a1: noKid, a2: noKid}
+	k := internKey{op: int32(op), a0: x.id, a1: noKid, a2: noKid}
 	if e := b.find(k); e != nil {
 		return e
 	}
@@ -604,7 +614,7 @@ func (b *Builder) node2(op Op, x, y *Expr) *Expr {
 	if b.overBudget(x.size + y.size) {
 		return b.FreshOpaque()
 	}
-	k := internKey{op: op, a0: x.id, a1: y.id, a2: noKid}
+	k := internKey{op: int32(op), a0: x.id, a1: y.id, a2: noKid}
 	if e := b.find(k); e != nil {
 		return e
 	}
@@ -622,7 +632,7 @@ func (b *Builder) node3(op Op, x, y, z *Expr) *Expr {
 	if b.overBudget(x.size + y.size + z.size) {
 		return b.FreshOpaque()
 	}
-	k := internKey{op: op, a0: x.id, a1: y.id, a2: z.id}
+	k := internKey{op: int32(op), a0: x.id, a1: y.id, a2: z.id}
 	if e := b.find(k); e != nil {
 		return e
 	}
