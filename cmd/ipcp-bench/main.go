@@ -38,12 +38,16 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"regexp"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/callgraph"
 	"repro/internal/core"
+	"repro/internal/gen"
 	"repro/internal/jump"
 	"repro/internal/lattice"
 	"repro/internal/memo"
@@ -502,6 +506,12 @@ func memoExhibits() ([]Exhibit, error) {
 // callee invalidates the entire transitive-caller chain. The spread
 // between the two is what blast-radius invalidation buys over
 // rebuild-everything.
+//
+// session/edit-gen256-leaf is one fast edit of the daemon-edits kind: a
+// local constant tweaked in a leaf procedure of the 256-procedure
+// generated program (gen seed 1986). Spec77's edit re-analyzes a small
+// program; here the edit is as small, and what an iteration costs
+// beyond it is the work a fast edit still does over the whole program.
 func sessionExhibits() ([]Exhibit, error) {
 	spec, ok := suite.ByName("spec77")
 	if !ok {
@@ -596,7 +606,77 @@ func sessionExhibits() ([]Exhibit, error) {
 			return nil
 		}))
 	}
+
+	leafEdit, genLen, err := genLeafEdit(ctx, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("session/edit-gen256-leaf: %w", err)
+	}
+	out = append(out, bench("session/edit-gen256-leaf", genLen, func(n int) error {
+		for i := 0; i < n; i++ {
+			if err := leafEdit(); err != nil {
+				return err
+			}
+		}
+		return nil
+	}))
 	return out, nil
+}
+
+// localInit matches a generated local's initialization, "  L3 = 14" or
+// "  L3 = (-5)".
+var localInit = regexp.MustCompile(`(?m)^(\s+L\d+ = )(\(-\d+\)|\d+)$`)
+
+// genLeafEdit opens a session on the 256-procedure generated program
+// and returns an edit that sets one local initialization of its first
+// called leaf procedure to a new small value, failing if the edit
+// leaves the fast path; size is the program's length in bytes.
+func genLeafEdit(ctx context.Context, cfg ipcp.Config) (edit func() error, size int64, err error) {
+	src := gen.Program(gen.Config{Seed: 1986, NumProcs: 256})
+	chunks, ok := memo.Split("gen256.f", src)
+	if !ok {
+		return nil, 0, fmt.Errorf("program does not split into units")
+	}
+	var diags source.ErrorList
+	prog := sem.Analyze(parser.ParseSource("gen256.f", src, &diags), &diags)
+	if diags.HasErrors() {
+		return nil, 0, diags.Err()
+	}
+	if len(chunks) != len(prog.Order) {
+		return nil, 0, fmt.Errorf("%d units for %d procedures", len(chunks), len(prog.Order))
+	}
+	leaf := -1
+	for _, n := range callgraph.Build(prog).Order {
+		if len(n.Out) == 0 && len(n.In) > 0 && localInit.MatchString(chunks[n.Index].Text) {
+			leaf = n.Index
+			break
+		}
+	}
+	if leaf < 0 {
+		return nil, 0, fmt.Errorf("no called leaf with a local initialization")
+	}
+	s, err := ipcp.OpenSession(ctx, "gen256.f", src, cfg)
+	if err != nil {
+		return nil, 0, err
+	}
+	text := chunks[leaf].Text
+	loc := localInit.FindStringSubmatchIndex(text)
+	seq := 0
+	edit = func() error {
+		seq++
+		tweaked := text[:loc[4]] + strconv.Itoa(seq%7+1) + text[loc[5]:]
+		info, err := s.Edit(ctx, []ipcp.UnitEdit{{Op: "replace", Index: leaf, Text: tweaked}})
+		if err != nil {
+			return err
+		}
+		if !info.FastPath {
+			return fmt.Errorf("leaf edit fell off the fast path")
+		}
+		return nil
+	}
+	if err := edit(); err != nil {
+		return nil, 0, err
+	}
+	return edit, int64(len(src)), nil
 }
 
 // solverExhibits measures the §4 solver ablation: propagation re-run

@@ -8,7 +8,7 @@ package callgraph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/cfg"
@@ -19,8 +19,13 @@ import (
 type Node struct {
 	Proc *sem.Procedure
 	CFG  *cfg.Graph
+	// Index is the node's position in Graph.Order.
+	Index int
 	// Out lists this procedure's call sites (in CFG order).
 	Out []*cfg.CallSite
+	// Callees holds the node each Out site calls, index for index; nil
+	// where the callee is not a procedure of the program.
+	Callees []*Node
 	// In lists the sites that call this procedure.
 	In []*cfg.CallSite
 	// SCC is the Tarjan component index; components are numbered in
@@ -38,28 +43,15 @@ type Graph struct {
 	Order []*Node
 	// NumSCCs is the number of strongly connected components.
 	NumSCCs int
+
+	// bottomUp and topDown are the walk orders BottomUp and TopDown
+	// return.
+	bottomUp, topDown []*Node
 }
 
 // Build constructs CFGs for every procedure and the call graph over
 // them.
-func Build(prog *sem.Program) *Graph {
-	g := &Graph{Prog: prog, Nodes: make(map[string]*Node)}
-	for _, p := range prog.Order {
-		n := &Node{Proc: p, CFG: cfg.Build(prog, p)}
-		n.Out = n.CFG.Sites
-		g.Nodes[p.Name] = n
-		g.Order = append(g.Order, n)
-	}
-	for _, n := range g.Order {
-		for _, site := range n.Out {
-			if callee, ok := g.Nodes[site.Callee]; ok {
-				callee.In = append(callee.In, site)
-			}
-		}
-	}
-	g.computeSCCs()
-	return g
-}
+func Build(prog *sem.Program) *Graph { return BuildReuse(prog, nil) }
 
 // BuildReuse is Build with per-procedure CFG reuse: procedures present
 // in reuse keep their already-built CFG (and therefore their *CallSite
@@ -69,25 +61,37 @@ func Build(prog *sem.Program) *Graph {
 // from Build's for equal bodies. Sessions use this to rebuild the call
 // graph after a one-unit edit without re-walking every unchanged body.
 func BuildReuse(prog *sem.Program, reuse map[*sem.Procedure]*cfg.Graph) *Graph {
-	g := &Graph{Prog: prog, Nodes: make(map[string]*Node)}
-	for _, p := range prog.Order {
+	nodes := make([]Node, len(prog.Order))
+	g := &Graph{Prog: prog, Nodes: make(map[string]*Node, len(nodes)), Order: make([]*Node, len(nodes))}
+	nsites := 0
+	for i, p := range prog.Order {
 		c := reuse[p]
 		if c == nil {
 			c = cfg.Build(prog, p)
 		}
-		n := &Node{Proc: p, CFG: c}
-		n.Out = n.CFG.Sites
+		n := &nodes[i]
+		n.Proc, n.CFG, n.Index, n.Out = p, c, i, c.Sites
 		g.Nodes[p.Name] = n
-		g.Order = append(g.Order, n)
+		g.Order[i] = n
+		nsites += len(c.Sites)
 	}
+	callees := make([]*Node, nsites)
 	for _, n := range g.Order {
-		for _, site := range n.Out {
-			if callee, ok := g.Nodes[site.Callee]; ok {
+		n.Callees, callees = callees[:len(n.Out):len(n.Out)], callees[len(n.Out):]
+		for k, site := range n.Out {
+			if callee := g.Nodes[site.Callee]; callee != nil {
+				n.Callees[k] = callee
 				callee.In = append(callee.In, site)
 			}
 		}
 	}
 	g.computeSCCs()
+	// The walk orders are fixed once: bottom-up is ascending SCC number,
+	// source order within a component, and top-down is its reverse.
+	g.bottomUp = slices.Clone(g.Order)
+	slices.SortStableFunc(g.bottomUp, func(a, b *Node) int { return a.SCC - b.SCC })
+	g.topDown = slices.Clone(g.bottomUp)
+	slices.Reverse(g.topDown)
 	return g
 }
 
@@ -97,62 +101,57 @@ func (g *Graph) Callee(site *cfg.CallSite) *Node { return g.Nodes[site.Callee] }
 // computeSCCs runs Tarjan's algorithm. Component numbering follows the
 // order components are completed, which for Tarjan is reverse
 // topological: if p calls q (and they are in different components),
-// SCC(q) < SCC(p).
+// SCC(q) < SCC(p). Its state lives in slices indexed by Node.Index:
+// index holds 1 + the discovery number (0 while unvisited).
 func (g *Graph) computeSCCs() {
-	index := make(map[*Node]int)
-	low := make(map[*Node]int)
-	onStack := make(map[*Node]bool)
-	var stack []*Node
-	next := 0
+	nn := len(g.Order)
+	state := make([]int32, 2*nn)
+	index, low := state[:nn], state[nn:]
+	onStack := make([]bool, nn)
+	stack := make([]*Node, 0, nn)
+	next := int32(0)
 
 	var strongConnect func(n *Node)
 	strongConnect = func(n *Node) {
-		index[n] = next
-		low[n] = next
+		v := n.Index
 		next++
+		index[v], low[v] = next, next
 		stack = append(stack, n)
-		onStack[n] = true
+		onStack[v] = true
 
-		for _, site := range n.Out {
-			m := g.Nodes[site.Callee]
+		for _, m := range n.Callees {
 			if m == nil {
 				continue
 			}
-			if _, seen := index[m]; !seen {
+			w := m.Index
+			if index[w] == 0 {
 				strongConnect(m)
-				if low[m] < low[n] {
-					low[n] = low[m]
-				}
-			} else if onStack[m] {
-				if index[m] < low[n] {
-					low[n] = index[m]
-				}
+				low[v] = min(low[v], low[w])
+			} else if onStack[w] {
+				low[v] = min(low[v], index[w])
 			}
 		}
 
-		if low[n] == index[n] {
-			var comp []*Node
-			for {
-				m := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[m] = false
-				m.SCC = g.NumSCCs
-				comp = append(comp, m)
-				if m == n {
-					break
-				}
+		if low[v] == index[v] {
+			top := len(stack) - 1
+			for stack[top] != n {
+				top--
 			}
-			if len(comp) > 1 {
-				for _, m := range comp {
+			comp := stack[top:]
+			for _, m := range comp {
+				onStack[m.Index] = false
+				m.SCC = g.NumSCCs
+				if len(comp) > 1 {
 					m.Recursive = true
 				}
 			}
+			stack = stack[:top]
 			g.NumSCCs++
 		}
 	}
 
 	for _, n := range g.Order {
-		if _, seen := index[n]; !seen {
+		if index[n.Index] == 0 {
 			strongConnect(n)
 		}
 	}
@@ -168,22 +167,13 @@ func (g *Graph) computeSCCs() {
 }
 
 // BottomUp returns nodes ordered callees-first (ascending SCC number,
-// stable within a component).
-func (g *Graph) BottomUp() []*Node {
-	out := make([]*Node, len(g.Order))
-	copy(out, g.Order)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].SCC < out[j].SCC })
-	return out
-}
+// stable within a component). The slice is computed once and shared:
+// callers must not modify it.
+func (g *Graph) BottomUp() []*Node { return g.bottomUp }
 
-// TopDown returns nodes ordered callers-first.
-func (g *Graph) TopDown() []*Node {
-	out := g.BottomUp()
-	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-		out[i], out[j] = out[j], out[i]
-	}
-	return out
-}
+// TopDown returns nodes ordered callers-first: BottomUp reversed. The
+// slice is shared like BottomUp's.
+func (g *Graph) TopDown() []*Node { return g.topDown }
 
 // String renders the call graph edges for debugging.
 func (g *Graph) String() string {

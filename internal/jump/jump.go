@@ -377,22 +377,21 @@ func (fb *fnBuilder) analyze() error {
 
 	// BottomUp order lists callees before callers (for nodes in distinct
 	// SCCs), so one forward sweep computes every level.
-	level := make(map[*callgraph.Node]int, len(order))
+	level := make([]int, len(order))
 	var levels [][]*callgraph.Node
 	for _, n := range order {
 		lv := 0
 		if useReturns {
-			for _, site := range n.Out {
-				m := fb.fns.Graph.Nodes[site.Callee]
+			for _, m := range n.Callees {
 				if m == nil || m.SCC == n.SCC {
 					continue
 				}
-				if l := level[m] + 1; l > lv {
+				if l := level[m.Index] + 1; l > lv {
 					lv = l
 				}
 			}
 		}
-		level[n] = lv
+		level[n.Index] = lv
 		for len(levels) <= lv {
 			levels = append(levels, nil)
 		}

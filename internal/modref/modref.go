@@ -11,14 +11,22 @@
 // constants were found, using MOD information exposed additional
 // constants" (Table 3). Without it, every call site kills every
 // reference actual and every global.
+//
+// Each procedure has one summary of bit sets: MOD and REF over formal
+// positions, GMOD and GREF over global numbers (sem.GlobalVar.Num). The
+// direct sets hold the effects of the body alone; the closed sets add
+// every callee's effects across the call sites, by word-wise unions in
+// bottom-up order.
 package modref
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	"repro/internal/ast"
+	"repro/internal/bitset"
 	"repro/internal/callgraph"
 	"repro/internal/cfg"
 	"repro/internal/sem"
@@ -28,105 +36,197 @@ import (
 type Info struct {
 	Graph *callgraph.Graph
 
-	mod  map[*sem.Procedure]map[int]bool
-	gmod map[*sem.Procedure]map[*sem.GlobalVar]bool
-	ref  map[*sem.Procedure]map[int]bool
-	gref map[*sem.Procedure]map[*sem.GlobalVar]bool
+	// globals is the Globals() order the global sets are numbered by.
+	globals []*sem.GlobalVar
+	// sums holds one summary per node, indexed by callgraph.Node.Index.
+	sums []summary
+}
+
+// summary is one procedure's side effects.
+type summary struct {
+	// cfg is the graph the direct sets were collected from.
+	cfg *cfg.Graph
+	// direct holds the body's own effects; closed adds the callees'.
+	direct, closed sets
+	// binds lists the actuals that name one of the procedure's formals
+	// or globals, site by site: the bindings a callee's effects on its
+	// formals reach the procedure through.
+	binds []binding
+}
+
+// sets is one MOD/REF/GMOD/GREF quadruple.
+type sets struct {
+	mod, ref, gmod, gref bitset.Set
+}
+
+// binding is one actual at one call site: argument arg of the node's
+// site Out[site] names the procedure's formal target, or, when target
+// is negative, the global numbered ^target.
+type binding struct {
+	site, arg, target int32
+}
+
+// summary returns p's summary, or nil if p is not a node of the graph.
+func (in *Info) summary(p *sem.Procedure) *summary {
+	if n := in.Graph.Nodes[p.Name]; n != nil && n.Proc == p {
+		return &in.sums[n.Index]
+	}
+	return nil
 }
 
 // Mod reports whether procedure p may modify its formal at index i.
-func (in *Info) Mod(p *sem.Procedure, i int) bool { return in.mod[p][i] }
+func (in *Info) Mod(p *sem.Procedure, i int) bool {
+	s := in.summary(p)
+	return s != nil && s.closed.mod.Has(i)
+}
 
 // GMod reports whether p may modify global g.
-func (in *Info) GMod(p *sem.Procedure, g *sem.GlobalVar) bool { return in.gmod[p][g] }
+func (in *Info) GMod(p *sem.Procedure, g *sem.GlobalVar) bool {
+	s := in.summary(p)
+	return s != nil && s.closed.gmod.Has(g.Num())
+}
 
 // Ref reports whether p may reference its formal at index i.
-func (in *Info) Ref(p *sem.Procedure, i int) bool { return in.ref[p][i] }
+func (in *Info) Ref(p *sem.Procedure, i int) bool {
+	s := in.summary(p)
+	return s != nil && s.closed.ref.Has(i)
+}
 
 // GRef reports whether p may reference global g.
-func (in *Info) GRef(p *sem.Procedure, g *sem.GlobalVar) bool { return in.gref[p][g] }
-
-// ModSet returns MOD(p) as a set of formal indices.
-func (in *Info) ModSet(p *sem.Procedure) map[int]bool { return in.mod[p] }
-
-// GModSet returns GMOD(p).
-func (in *Info) GModSet(p *sem.Procedure) map[*sem.GlobalVar]bool { return in.gmod[p] }
+func (in *Info) GRef(p *sem.Procedure, g *sem.GlobalVar) bool {
+	s := in.summary(p)
+	return s != nil && s.closed.gref.Has(g.Num())
+}
 
 // Kills adapts the summaries to the ssa.Options.Kills signature: at a
 // call site, the killed formal positions are MOD(callee) and the killed
-// globals are GMOD(callee).
-func (in *Info) Kills(site *cfg.CallSite) (map[int]bool, map[*sem.GlobalVar]bool, bool) {
+// globals, by number, are GMOD(callee). The sets are shared: callers
+// must not modify them.
+func (in *Info) Kills(site *cfg.CallSite) (formals, globals bitset.Set, all bool) {
 	callee := in.Graph.Nodes[site.Callee]
 	if callee == nil {
 		return nil, nil, true // unknown callee: worst case
 	}
-	return in.mod[callee.Proc], in.gmod[callee.Proc], false
+	c := &in.sums[callee.Index].closed
+	return c.mod, c.gmod, false
 }
 
 // Compute runs the analysis to fixpoint over the call graph.
-func Compute(cg *callgraph.Graph) *Info {
-	in := &Info{
-		Graph: cg,
-		mod:   make(map[*sem.Procedure]map[int]bool),
-		gmod:  make(map[*sem.Procedure]map[*sem.GlobalVar]bool),
-		ref:   make(map[*sem.Procedure]map[int]bool),
-		gref:  make(map[*sem.Procedure]map[*sem.GlobalVar]bool),
+func Compute(cg *callgraph.Graph) *Info { return newInfo(cg, nil) }
+
+// ComputeReuse is Compute reusing prev's direct effects: a procedure
+// whose node kept the CFG prev's summary was collected from copies the
+// direct sets instead of walking the body again. Nothing is reused
+// unless cg's Prog.Globals() equals prev's element for element, since
+// the global sets are indexed by position. The closed sets are always
+// rebuilt from the direct ones, so an effect an edit removed leaves the
+// callers too. The result equals Compute(cg).
+func ComputeReuse(cg *callgraph.Graph, prev *Info) *Info { return newInfo(cg, prev) }
+
+func newInfo(cg *callgraph.Graph, prev *Info) *Info {
+	globals := cg.Prog.Globals()
+	if prev != nil && !slices.Equal(prev.globals, globals) {
+		prev = nil
 	}
+	in := &Info{Graph: cg, globals: globals, sums: make([]summary, len(cg.Order))}
+
+	// Every set is carved from one slab, and every binding list from
+	// another (a procedure has at most one binding per actual).
+	gw := bitset.Words(len(globals))
+	nwords, nargs := 0, 0
 	for _, n := range cg.Order {
-		in.mod[n.Proc] = make(map[int]bool)
-		in.gmod[n.Proc] = make(map[*sem.GlobalVar]bool)
-		in.ref[n.Proc] = make(map[int]bool)
-		in.gref[n.Proc] = make(map[*sem.GlobalVar]bool)
-	}
-	for _, n := range cg.Order {
-		in.collectDirect(n)
-	}
-	// Close over call edges; bottom-up order converges fast, iterate to
-	// a fixpoint to handle recursion.
-	for changed := true; changed; {
-		changed = false
-		for _, n := range cg.BottomUp() {
-			if in.closeNode(n) {
-				changed = true
-			}
+		nwords += 4 * (bitset.Words(len(n.Proc.Formals)) + gw)
+		for _, site := range n.Out {
+			nargs += len(site.Args)
 		}
 	}
+	words := make(bitset.Set, nwords)
+	carve := func(n int) bitset.Set {
+		s := words[:n:n]
+		words = words[n:]
+		return s
+	}
+	binds := make([]binding, 0, nargs)
+	for i, n := range cg.Order {
+		s := &in.sums[i]
+		s.cfg = n.CFG
+		fw := bitset.Words(len(n.Proc.Formals))
+		s.direct = sets{carve(fw), carve(fw), carve(gw), carve(gw)}
+		s.closed = sets{carve(fw), carve(fw), carve(gw), carve(gw)}
+		lo := len(binds)
+		if old := prev.reusable(n); old != nil {
+			s.direct.copyFrom(&old.direct)
+			binds = append(binds, old.binds...)
+		} else {
+			collectDirect(n, &s.direct)
+			binds = appendBindings(binds, n)
+		}
+		s.binds = binds[lo:len(binds):len(binds)]
+	}
+	in.close()
 	return in
 }
 
+// reusable returns in's summary at n's position if its direct sets
+// were collected from n's CFG, or nil. A session's fast path replaces
+// units in place, so every kept procedure keeps its position.
+func (in *Info) reusable(n *callgraph.Node) *summary {
+	if in == nil || n.Index >= len(in.sums) || in.sums[n.Index].cfg != n.CFG {
+		return nil
+	}
+	return &in.sums[n.Index]
+}
+
+func (s *sets) copyFrom(t *sets) {
+	copy(s.mod, t.mod)
+	copy(s.ref, t.ref)
+	copy(s.gmod, t.gmod)
+	copy(s.gref, t.gref)
+}
+
+// add inserts target into MOD/GMOD (or REF/GREF when ref is set) and
+// reports whether it was new.
+func (s *sets) add(target int32, ref bool) bool {
+	f, g := s.mod, s.gmod
+	if ref {
+		f, g = s.ref, s.gref
+	}
+	if target < 0 {
+		return g.Add(int(^target))
+	}
+	return f.Add(int(target))
+}
+
+// targetOf encodes a formal or COMMON symbol as a set member: its
+// formal index, or the complement of its global number. ok is false for
+// any other symbol.
+func targetOf(s *sem.Symbol) (target int32, ok bool) {
+	switch {
+	case s == nil:
+		return 0, false
+	case s.Kind == sem.SymFormal:
+		return int32(s.FormalIndex), true
+	case s.Kind == sem.SymCommon:
+		return int32(^s.Global.Num()), true
+	}
+	return 0, false
+}
+
 // collectDirect records immediate effects within one procedure body.
-func (in *Info) collectDirect(n *callgraph.Node) {
+func collectDirect(n *callgraph.Node, d *sets) {
 	p := n.Proc
-	defSym := func(s *sem.Symbol) {
-		if s == nil {
-			return
-		}
-		switch s.Kind {
-		case sem.SymFormal:
-			in.mod[p][s.FormalIndex] = true
-		case sem.SymCommon:
-			in.gmod[p][s.Global] = true
+	record := func(s *sem.Symbol, ref bool) {
+		if t, ok := targetOf(s); ok {
+			d.add(t, ref)
 		}
 	}
-	useSym := func(s *sem.Symbol) {
-		if s == nil {
-			return
-		}
-		switch s.Kind {
-		case sem.SymFormal:
-			in.ref[p][s.FormalIndex] = true
-		case sem.SymCommon:
-			in.gref[p][s.Global] = true
-		}
-	}
-	var useExpr func(e ast.Expr)
-	useExpr = func(e ast.Expr) {
+	useExpr := func(e ast.Expr) {
 		ast.WalkExpr(e, func(x ast.Expr) bool {
 			switch v := x.(type) {
 			case *ast.Ident:
-				useSym(p.Lookup(v.Name))
+				record(p.Lookup(v.Name), true)
 			case *ast.Apply:
-				useSym(p.Lookup(v.Name)) // array read (call args walked below)
+				record(p.Lookup(v.Name), true) // array read (call args walked below)
 			}
 			return true
 		})
@@ -136,15 +236,15 @@ func (in *Info) collectDirect(n *callgraph.Node) {
 		for _, instr := range blk.Instrs {
 			switch instr.Kind {
 			case cfg.InstrAssign:
-				defSym(instr.Lhs)
-				defSym(instr.LhsArray)
+				record(instr.Lhs, false)
+				record(instr.LhsArray, false)
 				useExpr(instr.Rhs)
 				for _, s := range instr.Subs {
 					useExpr(s)
 				}
 			case cfg.InstrRead:
 				for _, t := range instr.Targets {
-					defSym(t.Sym)
+					record(t.Sym, false)
 					for _, s := range t.Subs {
 						useExpr(s)
 					}
@@ -168,47 +268,12 @@ func (in *Info) collectDirect(n *callgraph.Node) {
 	}
 }
 
-// closeNode propagates callee effects to the caller across each call
-// site in n, returning whether anything was added.
-func (in *Info) closeNode(n *callgraph.Node) bool {
+// appendBindings appends n's reference-parameter bindings: each actual
+// that is a variable, or an element of an array, naming a formal or a
+// global of n's procedure.
+func appendBindings(binds []binding, n *callgraph.Node) []binding {
 	p := n.Proc
-	changed := false
-	addMod := func(s *sem.Symbol) {
-		switch s.Kind {
-		case sem.SymFormal:
-			if !in.mod[p][s.FormalIndex] {
-				in.mod[p][s.FormalIndex] = true
-				changed = true
-			}
-		case sem.SymCommon:
-			if !in.gmod[p][s.Global] {
-				in.gmod[p][s.Global] = true
-				changed = true
-			}
-		}
-	}
-	addRef := func(s *sem.Symbol) {
-		switch s.Kind {
-		case sem.SymFormal:
-			if !in.ref[p][s.FormalIndex] {
-				in.ref[p][s.FormalIndex] = true
-				changed = true
-			}
-		case sem.SymCommon:
-			if !in.gref[p][s.Global] {
-				in.gref[p][s.Global] = true
-				changed = true
-			}
-		}
-	}
-
-	for _, site := range n.Out {
-		calleeNode := in.Graph.Nodes[site.Callee]
-		if calleeNode == nil {
-			continue
-		}
-		q := calleeNode.Proc
-		// Reference-parameter binding.
+	for k, site := range n.Out {
 		for i, arg := range site.Args {
 			var sym *sem.Symbol
 			switch a := arg.(type) {
@@ -220,28 +285,77 @@ func (in *Info) closeNode(n *callgraph.Node) bool {
 					sym = s
 				}
 			}
-			if sym == nil {
-				continue
-			}
-			if in.mod[q][i] {
-				addMod(sym)
-			}
-			if in.ref[q][i] {
-				addRef(sym)
+			if t, ok := targetOf(sym); ok {
+				binds = append(binds, binding{site: int32(k), arg: int32(i), target: t})
 			}
 		}
-		// Global effects propagate unconditionally.
-		for g := range in.gmod[q] {
-			if !in.gmod[p][g] {
-				in.gmod[p][g] = true
-				changed = true
+	}
+	return binds
+}
+
+// close computes every closed set from the direct sets, one SCC at a
+// time in bottom-up order: a component's callees outside it are final
+// by then, so a non-recursive procedure takes one pass and a recursive
+// component iterates to its fixpoint.
+func (in *Info) close() {
+	order := in.Graph.BottomUp()
+	for lo := 0; lo < len(order); {
+		hi := lo + 1
+		for hi < len(order) && order[hi].SCC == order[lo].SCC {
+			hi++
+		}
+		comp := order[lo:hi]
+		lo = hi
+		for _, n := range comp {
+			s := &in.sums[n.Index]
+			s.closed.copyFrom(&s.direct)
+		}
+		if len(comp) == 1 && !comp[0].Recursive {
+			in.closeNode(comp[0])
+			continue
+		}
+		for changed := true; changed; {
+			changed = false
+			for _, n := range comp {
+				if in.closeNode(n) {
+					changed = true
+				}
 			}
 		}
-		for g := range in.gref[q] {
-			if !in.gref[p][g] {
-				in.gref[p][g] = true
-				changed = true
-			}
+	}
+}
+
+// closeNode propagates callee effects to the caller across each call
+// site in n, returning whether anything was added.
+func (in *Info) closeNode(n *callgraph.Node) bool {
+	s := &in.sums[n.Index]
+	c := &s.closed
+	changed := false
+	// Reference-parameter binding.
+	for _, b := range s.binds {
+		q := n.Callees[b.site]
+		if q == nil {
+			continue
+		}
+		qc := &in.sums[q.Index].closed
+		if qc.mod.Has(int(b.arg)) && c.add(b.target, false) {
+			changed = true
+		}
+		if qc.ref.Has(int(b.arg)) && c.add(b.target, true) {
+			changed = true
+		}
+	}
+	// Global effects propagate unconditionally.
+	for _, q := range n.Callees {
+		if q == nil {
+			continue
+		}
+		qc := &in.sums[q.Index].closed
+		if c.gmod.Or(qc.gmod) {
+			changed = true
+		}
+		if c.gref.Or(qc.gref) {
+			changed = true
 		}
 	}
 	return changed
@@ -252,14 +366,19 @@ func (in *Info) String() string {
 	var b strings.Builder
 	for _, n := range in.Graph.Order {
 		p := n.Proc
+		c := &in.sums[n.Index].closed
 		var mods []string
-		for i := range in.mod[p] {
-			mods = append(mods, p.Formals[i].Name)
+		for i, f := range p.Formals {
+			if c.mod.Has(i) {
+				mods = append(mods, f.Name)
+			}
 		}
 		sort.Strings(mods)
 		var gmods []string
-		for g := range in.gmod[p] {
-			gmods = append(gmods, g.Key())
+		for num, g := range in.globals {
+			if c.gmod.Has(num) {
+				gmods = append(gmods, g.Key())
+			}
 		}
 		sort.Strings(gmods)
 		fmt.Fprintf(&b, "MOD(%s) = {%s} GMOD = {%s}\n", p.Name, strings.Join(mods, " "), strings.Join(gmods, " "))

@@ -224,11 +224,11 @@ END
 	if all {
 		t.Fatal("Kills with MOD info should not be worst-case")
 	}
-	if !formals[0] || formals[1] {
-		t.Errorf("killed formals = %v", formals)
+	if !formals.Has(0) || formals.Has(1) {
+		t.Errorf("killed formals = %b", formals)
 	}
 	g := prog.CommonBlocks["C"][0]
-	if !globals[g] {
+	if !globals.Has(g.Num()) {
 		t.Error("global must be killed")
 	}
 }

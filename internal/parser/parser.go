@@ -37,7 +37,7 @@ func ParseFile(file *source.File, diags *source.ErrorList) *ast.File {
 		return &ast.File{Source: file}
 	}
 	p := &parser{
-		file:  file,
+		cur:   file.Cursor(),
 		toks:  lexer.Tokenize(file, diags),
 		diags: diags,
 	}
@@ -57,7 +57,8 @@ func ParseSource(name, src string, diags *source.ErrorList) *ast.File {
 }
 
 type parser struct {
-	file  *source.File
+	// cur resolves token offsets, which arrive in ascending order.
+	cur   source.Cursor
 	toks  []lexer.Token
 	i     int
 	diags *source.ErrorList
@@ -169,7 +170,7 @@ func (p *parser) next() lexer.Token {
 	return t
 }
 
-func (p *parser) pos() source.Position { return p.file.Pos(p.tok().Offset) }
+func (p *parser) pos() source.Position { return p.cur.Pos(p.tok().Offset) }
 
 func (p *parser) errorf(format string, args ...interface{}) {
 	p.diags.Errorf(p.pos(), format, args...)
@@ -285,7 +286,7 @@ func (p *parser) paramList() []*ast.Param {
 	}
 	for {
 		t := p.expect(lexer.IDENT)
-		ps = append(ps, &ast.Param{Position: p.file.Pos(t.Offset), Name: t.Text})
+		ps = append(ps, &ast.Param{Position: p.cur.Pos(t.Offset), Name: t.Text})
 		if !p.at(lexer.COMMA) {
 			break
 		}
@@ -403,7 +404,7 @@ func (p *parser) declItemList() []*ast.DeclItem {
 	var items []*ast.DeclItem
 	for {
 		t := p.expect(lexer.IDENT)
-		it := &ast.DeclItem{Position: p.file.Pos(t.Offset), Name: t.Text}
+		it := &ast.DeclItem{Position: p.cur.Pos(t.Offset), Name: t.Text}
 		if p.at(lexer.LPAREN) {
 			p.next()
 			for {

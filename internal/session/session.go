@@ -21,8 +21,9 @@
 // call into it (if p calls q and q is E or a transitive caller of E,
 // then p is a transitive caller of E too), so its callee closure — and
 // with it its jump functions, substitution decisions, and recorded
-// value contexts — is untouched. MOD/REF summaries are cheap and are
-// recomputed whole every edit.
+// value contexts — is untouched. MOD/REF summaries are recomputed every
+// edit from the previous ones: each unedited procedure keeps its direct
+// effects, and every closed set is rebuilt from them.
 //
 // Cross-builder discipline: reused jump-function expressions were
 // interned by an earlier analysis's builders. That is safe under the
@@ -377,8 +378,9 @@ func (s *Session) tryFastReplace(e Edit, info *EditInfo) bool {
 		s.ctxs.Invalidate(p)
 	}
 	// Re-derive the graph layers, reusing every unedited procedure's
-	// CFG (a CFG depends only on its own body; what an edit changes in
-	// callers is their jump functions, invalidated above).
+	// CFG and direct side effects (both depend only on its own body;
+	// what an edit changes in callers is their closed MOD/REF sets,
+	// rebuilt here, and their jump functions, invalidated above).
 	reuse := make(map[*sem.Procedure]*cfg.Graph, len(s.graph.Order))
 	for _, n := range s.graph.Order {
 		if n.Proc != oldProc {
@@ -386,7 +388,7 @@ func (s *Session) tryFastReplace(e Edit, info *EditInfo) bool {
 		}
 	}
 	s.graph = callgraph.BuildReuse(s.prog, reuse)
-	s.mod = modref.Compute(s.graph)
+	s.mod = modref.ComputeReuse(s.graph, s.mod)
 	info.UnitsInvalidated += len(blast)
 	s.stats.UnitsInvalidated += int64(len(blast))
 	return true

@@ -90,7 +90,8 @@ func mustEqualCold(t *testing.T, s *Session, cfg core.Config, when string) {
 // TestSessionFastPathEquivalence drives a session through fast-path
 // replaces and checks byte-identity with a cold analysis of the
 // concatenated text after every step, at parallelism 1 and 4, on the
-// two-chain program and on the recursion program.
+// two-chain program, on the recursion program and on edits that add and
+// remove side effects (testdata/effects.f).
 func TestSessionFastPathEquivalence(t *testing.T) {
 	for _, par := range []int{1, 4} {
 		t.Run(fmt.Sprintf("par%d", par), func(t *testing.T) {
@@ -195,6 +196,42 @@ func TestSessionFastPathEquivalence(t *testing.T) {
 				t.Fatalf("FACT edit: %+v, want fast path, 3 invalidated, 3 reused", info)
 			}
 			mustEqualCold(t, s, cfg, "after FACT edit")
+		})
+	}
+	effects, err := os.ReadFile(filepath.Join("testdata", "effects.f"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, par := range []int{1, 4} {
+		t.Run(fmt.Sprintf("effects/par%d", par), func(t *testing.T) {
+			cfg := testConfig(par)
+			s, err := Open(context.Background(), "effects.f", string(effects), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustEqualCold(t, s, cfg, "after open")
+
+			// Each edit puts a side effect in LEAF's CONTINUE slot and then
+			// takes it out again; TOP and MAIN read what LEAF may modify
+			// after the call, so a stale MOD/REF summary of LEAF or of its
+			// callers changes their constants.
+			leaf := s.units[2]
+			for _, stmt := range []string{"N = 11", "G = 12", "PRINT *, G", "CALL OTHER(M)"} {
+				for _, text := range []string{strings.Replace(leaf, "CONTINUE", stmt, 1), leaf} {
+					info, err := s.Apply(context.Background(), []Edit{{Op: OpReplace, Index: 2, Text: text}})
+					if err != nil {
+						t.Fatal(err)
+					}
+					when := fmt.Sprintf("after %q edit", stmt)
+					if text == leaf {
+						when = fmt.Sprintf("after removing %q", stmt)
+					}
+					if !info.FastPath {
+						t.Fatalf("%s: slow path: %+v", when, info)
+					}
+					mustEqualCold(t, s, cfg, when)
+				}
+			}
 		})
 	}
 }

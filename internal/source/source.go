@@ -59,6 +59,33 @@ func (f *File) Pos(offset int) Position {
 	return Position{File: f.Name, Line: i + 1, Col: offset - f.lineOffsets[i] + 1, Offset: offset}
 }
 
+// Cursor converts offsets to positions for a reader that moves forward
+// through the file, as the parser does: it remembers the line of the
+// last offset and steps forward from there, and falls back to Pos's
+// binary search for an offset before that line. Its positions equal
+// Pos's for every offset in any order.
+type Cursor struct {
+	f *File
+	// line indexes lineOffsets: the line of the furthest offset seen.
+	line int
+}
+
+// Cursor returns a cursor at the start of the file.
+func (f *File) Cursor() Cursor { return Cursor{f: f} }
+
+// Pos converts a byte offset into a Position, as File.Pos does.
+func (c *Cursor) Pos(offset int) Position {
+	f, ls := c.f, c.f.lineOffsets
+	offset = min(max(offset, 0), len(f.Content))
+	if offset < ls[c.line] {
+		return f.Pos(offset)
+	}
+	for c.line+1 < len(ls) && ls[c.line+1] <= offset {
+		c.line++
+	}
+	return Position{File: f.Name, Line: c.line + 1, Col: offset - ls[c.line] + 1, Offset: offset}
+}
+
 // Line returns the text of the 1-based line n, without its newline.
 func (f *File) Line(n int) string {
 	if n < 1 || n > len(f.lineOffsets) {

@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/arena"
 	"repro/internal/ast"
+	"repro/internal/bitset"
 	"repro/internal/cfg"
 	"repro/internal/dom"
 	"repro/internal/sem"
@@ -264,8 +265,9 @@ func (f *Func) UseBlock(e ast.Expr) *cfg.Block {
 
 // KillFunc reports which variables a call may modify, from the
 // caller's perspective: the killed actual positions (by formal index)
-// and the killed globals, or all when the call kills everything.
-type KillFunc func(site *cfg.CallSite) (formals map[int]bool, globals map[*sem.GlobalVar]bool, all bool)
+// and the killed globals (by GlobalVar.Num), or all when the call kills
+// everything. The sets are read, never modified.
+type KillFunc func(site *cfg.CallSite) (formals, globals bitset.Set, all bool)
 
 // Options configures SSA construction.
 type Options struct {
@@ -498,8 +500,7 @@ func (b *ssaBuilder) build() {
 // kill lists: scalar variable actuals bound to killed formals, then
 // killed globals, each once. Each is also a definition in blk.
 func (b *ssaBuilder) collectKills(site *cfg.CallSite, blk *cfg.Block) {
-	var killF map[int]bool
-	var killG map[*sem.GlobalVar]bool
+	var killF, killG bitset.Set
 	all := true
 	if b.opts.Kills != nil {
 		killF, killG, all = b.opts.Kills(site)
@@ -515,7 +516,7 @@ func (b *ssaBuilder) collectKills(site *cfg.CallSite, blk *cfg.Block) {
 		b.addDef(v, blk)
 	}
 	for i, arg := range site.Args {
-		if !all && !killF[i] {
+		if !all && !killF.Has(i) {
 			continue
 		}
 		if id, ok := arg.(*ast.Ident); ok {
@@ -524,9 +525,9 @@ func (b *ssaBuilder) collectKills(site *cfg.CallSite, blk *cfg.Block) {
 			}
 		}
 	}
-	if all || len(killG) > 0 {
+	if all || !killG.Empty() {
 		for _, g := range b.opts.Globals {
-			if !g.IsArray && (all || killG[g]) {
+			if !g.IsArray && (all || killG.Has(g.Num())) {
 				kill(GlobalVar(g))
 			}
 		}

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/memo"
 )
 
 const sessionTestSrc = `PROGRAM MAIN
@@ -120,6 +122,24 @@ func FuzzSessionDelta(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(string(src), uint8(0), uint8(1), "SUBROUTINE Q(A)\nINTEGER A\nPRINT *, A\nEND\n", uint8(1), uint8(2), "\nSUBROUTINE R(B)\nINTEGER B\nPRINT *, B + 1\nEND\n")
+	}
+	// Edits that put a side effect into LEAF and take it out again, so a
+	// stale MOD/REF summary would change its callers' constants.
+	effects, err := os.ReadFile(filepath.Join("..", "internal", "session", "testdata", "effects.f"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	chunks, ok := memo.Split("effects.f", string(effects))
+	if !ok || len(chunks) != 4 {
+		f.Fatal("effects.f does not split into 4 units")
+	}
+	leaf := chunks[2].Text
+	stmts := []string{"N = 11", "G = 12", "PRINT *, G", "CALL OTHER(M)"}
+	for i, stmt := range stmts {
+		with := strings.Replace(leaf, "CONTINUE", stmt, 1)
+		next := strings.Replace(leaf, "CONTINUE", stmts[(i+1)%len(stmts)], 1)
+		f.Add(string(effects), uint8(0), uint8(2), with, uint8(0), uint8(2), leaf)
+		f.Add(string(effects), uint8(0), uint8(2), with, uint8(0), uint8(2), next)
 	}
 	f.Add(sessionTestSrc, uint8(0), uint8(2), "SUBROUTINE LEAF(N, M)\nINTEGER N, M\nPRINT *, N - M\nEND\n\n", uint8(2), uint8(3), "")
 	f.Add(sessionTestSrc, uint8(0), uint8(0), "PROGRAM MAIN\nCALL TOP(1, 2)\nEND\n\n", uint8(0), uint8(2), "oops(")
