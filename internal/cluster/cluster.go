@@ -57,6 +57,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/backoff"
 	"repro/internal/serve"
 	"repro/ipcp"
 )
@@ -642,11 +643,7 @@ func (c *Coordinator) hedgeDelay() time.Duration {
 // exponential backoff, raised to the failed backend's Retry-After hint
 // up to RetryHintCap.
 func (c *Coordinator) failoverDelay(n int, hint time.Duration) time.Duration {
-	d := c.cfg.RetryBaseDelay << (n - 1)
-	if d > c.cfg.RetryMaxDelay || d <= 0 {
-		d = c.cfg.RetryMaxDelay
-	}
-	d = d/2 + time.Duration(c.jitter()*float64(d/2))
+	d := backoff.Delay(n, c.cfg.RetryBaseDelay, c.cfg.RetryMaxDelay, c.jitter)
 	if hint > d {
 		d = hint
 		if d > c.cfg.RetryHintCap {

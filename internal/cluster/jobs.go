@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -170,7 +171,7 @@ func (c *Coordinator) fanoutList(ctx context.Context, tenant string) []jobs.JobV
 		path += "?tenant=" + url.QueryEscape(tenant)
 	}
 	for _, b := range c.backends {
-		code, _, body, err := c.forwardJob(ctx, b, http.MethodGet, path)
+		code, _, body, err := c.forward(ctx, b, http.MethodGet, path, nil, c.jobLookupTimeout())
 		if err != nil || code != http.StatusOK {
 			continue
 		}
@@ -218,7 +219,7 @@ func (c *Coordinator) handleJobByID(w http.ResponseWriter, r *http.Request) {
 	tried := make(map[*backend]bool)
 	if b := c.owner(id); b != nil {
 		tried[b] = true
-		if code, hdr, body, err := c.forwardJob(r.Context(), b, r.Method, path); err == nil && code != http.StatusNotFound {
+		if code, hdr, body, err := c.forward(r.Context(), b, r.Method, path, nil, c.jobLookupTimeout()); err == nil && code != http.StatusNotFound {
 			writeProxied(w, code, hdr, body)
 			return
 		}
@@ -229,7 +230,7 @@ func (c *Coordinator) handleJobByID(w http.ResponseWriter, r *http.Request) {
 		if tried[b] {
 			continue
 		}
-		code, hdr, body, err := c.forwardJob(r.Context(), b, r.Method, path)
+		code, hdr, body, err := c.forward(r.Context(), b, r.Method, path, nil, c.jobLookupTimeout())
 		if err != nil {
 			continue
 		}
@@ -298,27 +299,38 @@ func (c *Coordinator) handleJobsWatch(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// forwardJob sends one bodyless job-API request to one backend. These
-// are lightweight lookups outside the failover ladder: a transport
-// error just moves the broadcast to the next backend, with no breaker
-// verdict (the breaker protects the analysis path's attempt budget).
-func (c *Coordinator) forwardJob(ctx context.Context, b *backend, method, path string) (int, http.Header, []byte, error) {
-	fctx, cancel := context.WithTimeout(ctx, c.jobLookupTimeout())
+// forward sends one job- or session-API request to one backend. These
+// sit outside the failover ladder and carry no breaker verdict (the
+// breaker protects the analysis path's attempt budget): a job lookup's
+// transport error just moves its broadcast to the next backend, and a
+// session lives on exactly one backend, so there is nothing to fail
+// over to. Job lookups get the short lookup timeout; a session edit
+// runs a real (incremental) analysis and gets the full request budget.
+// A nil body sends no body.
+func (c *Coordinator) forward(ctx context.Context, b *backend, method, path string, body []byte, timeout time.Duration) (int, http.Header, []byte, error) {
+	fctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(fctx, method, b.url+path, nil)
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(fctx, method, b.url+path, rd)
 	if err != nil {
 		return 0, nil, nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.client.Do(req)
 	if err != nil {
 		return 0, nil, nil, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	respBody, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	return resp.StatusCode, resp.Header, body, nil
+	return resp.StatusCode, resp.Header, respBody, nil
 }
 
 func (c *Coordinator) jobLookupTimeout() time.Duration {

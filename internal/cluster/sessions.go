@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -136,7 +135,7 @@ func (c *Coordinator) handleSessionByID(w http.ResponseWriter, r *http.Request) 
 	tried := make(map[*backend]bool)
 	if b := c.owner(id); b != nil {
 		tried[b] = true
-		code, hdr, respBody, err := c.forwardSession(r.Context(), b, r.Method, path, body)
+		code, hdr, respBody, err := c.forward(r.Context(), b, r.Method, path, body, c.cfg.RequestTimeout)
 		switch {
 		case err == nil && code != http.StatusNotFound:
 			writeProxied(w, code, hdr, respBody)
@@ -158,7 +157,7 @@ func (c *Coordinator) handleSessionByID(w http.ResponseWriter, r *http.Request) 
 		if tried[b] {
 			continue
 		}
-		code, hdr, respBody, err := c.forwardSession(r.Context(), b, r.Method, path, body)
+		code, hdr, respBody, err := c.forward(r.Context(), b, r.Method, path, body, c.cfg.RequestTimeout)
 		if err != nil {
 			continue
 		}
@@ -183,36 +182,4 @@ func (c *Coordinator) handleSessionByID(w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	c.writeError(w, http.StatusNotFound, "not-found", "unknown session "+id, 0)
-}
-
-// forwardSession sends one session-API request to one backend. Like
-// job lookups these sit outside the failover ladder — there is nothing
-// to fail over to, session state lives on exactly one backend — and
-// carry no breaker verdict. Unlike job lookups an edit runs a real
-// (incremental) analysis, so the forward gets the full request budget
-// rather than the short lookup timeout.
-func (c *Coordinator) forwardSession(ctx context.Context, b *backend, method, path string, body []byte) (int, http.Header, []byte, error) {
-	fctx, cancel := context.WithTimeout(ctx, c.cfg.RequestTimeout)
-	defer cancel()
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(fctx, method, b.url+path, rd)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	defer resp.Body.Close()
-	respBody, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	return resp.StatusCode, resp.Header, respBody, nil
 }

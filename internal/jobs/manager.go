@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	mrand "math/rand"
 	"os"
 	"sort"
 	"strconv"
@@ -13,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/backoff"
 	"repro/ipcp"
 )
 
@@ -150,7 +152,8 @@ type Config struct {
 	// segments accumulate (default 4).
 	CompactSegments int
 	// RetryBase/RetryMaxDelay shape the retry backoff ladder
-	// (defaults 100ms / 5s; delay = RetryBase << attempt, capped).
+	// (defaults 100ms / 5s; see backoff.Delay: doubling per attempt,
+	// capped, jittered into [d/2, d)).
 	RetryBase     time.Duration
 	RetryMaxDelay time.Duration
 	// SweepInterval paces the TTL/retention/compaction sweeper
@@ -554,17 +557,6 @@ func (m *Manager) pickLocked(now time.Time) *job {
 	return j
 }
 
-func (m *Manager) backoff(attempt int) time.Duration {
-	d := m.cfg.RetryBase
-	for i := 1; i < attempt && d < m.cfg.RetryMaxDelay; i++ {
-		d *= 2
-	}
-	if d > m.cfg.RetryMaxDelay {
-		d = m.cfg.RetryMaxDelay
-	}
-	return d
-}
-
 // Submit accepts a batch for one tenant, all-or-nothing: either every
 // job is journaled (one batched fsync) and acknowledged, or the batch
 // is rejected whole — a *QuotaError past the tenant's queue quota,
@@ -874,7 +866,7 @@ func (m *Manager) settleAttemptLocked(j *job, t *tenantState, ctxErr error, out 
 			m.walAppendErrors++
 		}
 		t.retries++
-		delay := m.backoff(j.attempts)
+		delay := backoff.Delay(j.attempts, m.cfg.RetryBase, m.cfg.RetryMaxDelay, mrand.Float64)
 		j.state = StateQueued
 		j.notBefore = now.Add(delay)
 		m.requeueFrontLocked(j)

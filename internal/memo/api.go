@@ -9,7 +9,8 @@ import (
 
 // World is the exported handle to a cached front-end build: the parsed
 // and checked program plus the hooks that let the core driver reuse
-// per-unit artifacts. Handles are cheap; worlds are shared.
+// its per-procedure and whole-program artifacts. Handles are cheap;
+// worlds are shared.
 type World struct {
 	c *Cache
 	w *world
@@ -30,14 +31,17 @@ func (c *Cache) Lookup(files []File) (w World, hit, ok bool) {
 }
 
 // File returns the merged AST (units in source order).
-func (w World) File() *ast.File { return w.w.file }
+func (w World) File() *ast.File { return w.w.Prog.File }
 
 // Prog returns the checked program.
-func (w World) Prog() *sem.Program { return w.w.prog }
+func (w World) Prog() *sem.Program { return w.w.Prog }
 
 // Diags returns the front end's warning diagnostics, to be replayed
 // into the caller's diagnostic list (worlds never carry errors).
 func (w World) Diags() []source.Diagnostic { return w.w.diags }
 
-// Hooks returns the driver-side memoization interface for this world.
-func (w World) Hooks() core.MemoHooks { return &hooks{c: w.c, w: w.w} }
+// Hooks returns the driver-side memoization interface for one analysis
+// of this world.
+func (w World) Hooks() core.MemoHooks {
+	return &Hooks{st: w.w.arts, f: w.w.Front, c: w.c, w: w.w}
+}

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/domain"
-	"repro/internal/sem"
 	"repro/internal/ssa"
 )
 
@@ -39,7 +38,7 @@ func hashStrings(parts ...string) string {
 //
 // The fingerprint is the natural routing key for a fleet of analysis
 // servers: sending equal fingerprints to the same backend maximizes
-// that backend's per-unit memo reuse, because this is the same hashing
+// that backend's memo reuse, because this is the same hashing
 // discipline the cache keys use. The leading version tag keeps the key
 // space disjoint from every other hashStrings use.
 func ProgramFingerprint(files []File, c core.Config) string {
@@ -77,10 +76,8 @@ func substFP(c core.Config) string {
 }
 
 // entryFP renders one procedure's constant entry environment as a
-// canonical string. The environment is the substitution pass's only
-// input from the solver, so two analyses with equal entryFP (and equal
-// closure/config/layout fingerprints) substitute identically.
-func entryFP(p *sem.Procedure, env map[ssa.Var]int64) string {
+// canonical string, for the whole-program substitution key.
+func entryFP(env map[ssa.Var]int64) string {
 	if len(env) == 0 {
 		return ""
 	}
@@ -90,24 +87,4 @@ func entryFP(p *sem.Procedure, env map[ssa.Var]int64) string {
 	}
 	sort.Strings(parts)
 	return strings.Join(parts, ",")
-}
-
-// EntryFP exposes entryFP to the session subsystem, whose in-place
-// substitution reuse is gated on the same discipline as the
-// content-addressed cache: a procedure's stored substitution decisions
-// are valid only while its constant entry environment fingerprints
-// identically.
-func EntryFP(p *sem.Procedure, env map[ssa.Var]int64) string { return entryFP(p, env) }
-
-// globalsFP fingerprints the program's COMMON layout: every global's
-// key (block#index), canonical name, type, and array-ness, in the
-// program's canonical order. Return and forward jump functions range
-// over the full global set (an unmodified global summarizes to itself),
-// so any layout change anywhere invalidates every per-unit artifact.
-func globalsFP(prog *sem.Program) string {
-	var b strings.Builder
-	for _, g := range prog.Globals() {
-		fmt.Fprintf(&b, "%s|%s|%d|%t;", g.Key(), g.Name, g.Type, g.IsArray)
-	}
-	return hashStrings(b.String())
 }

@@ -368,6 +368,17 @@ func AnalyzeParallelCtx(ctx context.Context, file *ast.File, diags *source.Error
 type analyzer struct {
 	prog  *Program
 	diags *source.ErrorList
+	// effects, when non-nil, collects pass 2's effects on the COMMON
+	// layout (see Program.Derive).
+	effects *[]layoutEffect
+}
+
+// noteLayout records one effect on the COMMON layout if effects are
+// being collected.
+func (a *analyzer) noteLayout(e layoutEffect) {
+	if a.effects != nil {
+		*a.effects = append(*a.effects, e)
+	}
 }
 
 // checkBodyGuarded tags panics during body checking with the unit name,
@@ -402,12 +413,7 @@ func (a *analyzer) collectUnits() {
 			a.errorf(u.Pos(), "duplicate program unit %s (previously defined at %s)", u.Name, prev.Unit.Pos())
 			continue
 		}
-		p := &Procedure{
-			Unit:    u,
-			Name:    u.Name,
-			Symbols: make(map[string]*Symbol),
-			Labels:  make(map[string]ast.Stmt),
-		}
+		p := newProcedure(u)
 		a.prog.Procs[u.Name] = p
 		a.prog.Order = append(a.prog.Order, p)
 		if u.Kind == ast.ProgramUnit {
@@ -420,6 +426,16 @@ func (a *analyzer) collectUnits() {
 	}
 	if a.prog.Main == nil && len(a.prog.Order) > 0 {
 		a.errorf(a.prog.File.Pos(), "no PROGRAM unit found")
+	}
+}
+
+// newProcedure returns the empty procedure of unit u.
+func newProcedure(u *ast.Unit) *Procedure {
+	return &Procedure{
+		Unit:    u,
+		Name:    u.Name,
+		Symbols: make(map[string]*Symbol),
+		Labels:  make(map[string]ast.Stmt),
 	}
 }
 
@@ -512,6 +528,9 @@ func (a *analyzer) declareItem(p *Procedure, it *ast.DeclItem, typ ast.BaseType)
 		if s.Global != nil && typ != ast.TypeNone {
 			s.Global.Type = typ
 		}
+		if s.Global != nil && (typ != ast.TypeNone || len(it.Dims) > 0) {
+			a.noteLayout(layoutEffect{block: s.Global.Block, index: s.Global.Index, typ: typ, array: len(it.Dims) > 0})
+		}
 		return
 	}
 	t := typ
@@ -537,6 +556,7 @@ func (a *analyzer) declareCommon(p *Procedure, decl *ast.CommonDecl) {
 			})
 		}
 		g := layout[i]
+		a.noteLayout(layoutEffect{block: block, index: i, name: it.Name, array: len(it.Dims) > 0})
 		if s, exists := p.Symbols[it.Name]; exists {
 			// A prior type declaration (e.g. INTEGER N before COMMON) is
 			// folded into the common symbol.
@@ -550,6 +570,7 @@ func (a *analyzer) declareCommon(p *Procedure, decl *ast.CommonDecl) {
 			if s.IsArray {
 				g.IsArray = true
 			}
+			a.noteLayout(layoutEffect{block: block, index: i, typ: s.Type, array: s.IsArray})
 			p.Commons = append(p.Commons, s)
 			continue
 		}

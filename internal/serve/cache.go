@@ -11,10 +11,13 @@ import (
 	"repro/ipcp"
 )
 
-// CacheCounters is the /statsz snapshot of one cache layer.
+// CacheCounters is the /statsz snapshot of one cache layer. Derived is
+// the analysis cache's count of texts derived from a cached one by the
+// replace step (always 0 for the result cache).
 type CacheCounters struct {
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
+	Derived   uint64 `json:"derived"`
 	Evictions uint64 `json:"evictions"`
 	Entries   int    `json:"entries"`
 	Bytes     int64  `json:"bytes"`

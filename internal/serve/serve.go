@@ -18,7 +18,8 @@
 //     to fail-fast 503s; after a cooldown it half-opens and probes its
 //     way back to closed.
 //   - Caching: an incremental-analysis cache (ipcp.Cache) shared by all
-//     requests reuses per-unit artifacts across analyses, and a result
+//     requests reuses analyzed programs across analyses (an edited text
+//     is derived from a cached one by the replace step), and a result
 //     cache replays whole clean responses byte-for-byte for repeated
 //     (source, config, want) requests. Both are LRU with byte budgets
 //     and report hit/miss/eviction counters in /statsz; a result-cache
@@ -49,6 +50,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/backoff"
 	"repro/internal/domain"
 	"repro/internal/jobs"
 	"repro/internal/pipeline"
@@ -521,8 +523,9 @@ type StatsSnapshot struct {
 	Breaker        BreakerSnapshot         `json:"breaker"`
 	// AnalysisCache counts the incremental-analysis cache's memoized
 	// lookups at every granularity (front-end builds, whole-config
-	// phase results, per-unit artifacts); ResultCache counts whole
-	// replayed responses. Either is absent when that cache is disabled.
+	// phase results, per-procedure artifacts) and the texts it derived
+	// from a cached one; ResultCache counts whole replayed responses.
+	// Either is absent when that cache is disabled.
 	AnalysisCache *CacheCounters `json:"analysis_cache,omitempty"`
 	ResultCache   *CacheCounters `json:"result_cache,omitempty"`
 	// Jobs is the durable job subsystem's counter block (queue depths,
@@ -618,7 +621,7 @@ func (s *Server) Stats() StatsSnapshot {
 	if s.memo != nil {
 		cs := s.memo.Stats()
 		snap.AnalysisCache = &CacheCounters{
-			Hits: cs.Hits, Misses: cs.Misses, Evictions: cs.Evictions,
+			Hits: cs.Hits, Misses: cs.Misses, Derived: cs.Derived, Evictions: cs.Evictions,
 			Entries: cs.Entries, Bytes: cs.Bytes, MaxBytes: cs.MaxBytes,
 		}
 	}
@@ -872,20 +875,10 @@ func (s *Server) retrying() pipeline.Middleware[*reqState] {
 				// retry (staying at Literal once there), after a capped, jittered
 				// exponential backoff.
 				st.cfg = degradeConfig(st.cfg)
-				s.sleep(ctx, s.backoff(st.retries))
+				s.sleep(ctx, backoff.Delay(st.retries, s.cfg.RetryBaseDelay, s.cfg.RetryMaxDelay, s.jitter))
 			}
 		}
 	}
-}
-
-// backoff returns the jittered, capped exponential delay before retry n
-// (n >= 1): base·2^(n-1) capped at max, then jittered to [d/2, d).
-func (s *Server) backoff(n int) time.Duration {
-	d := s.cfg.RetryBaseDelay << (n - 1)
-	if d > s.cfg.RetryMaxDelay || d <= 0 {
-		d = s.cfg.RetryMaxDelay
-	}
-	return d/2 + time.Duration(s.jitter()*float64(d/2))
 }
 
 // degradeConfig steps one rung down the sound fallback chain (the same

@@ -37,7 +37,7 @@ func TestFastReplaceReleasesReplacedAST(t *testing.T) {
 
 	replaceLeaf("N + M", "N * M")
 	wp := func() weak.Pointer[ast.Binary] {
-		pr := s.prog.Order[2].Unit.Body[0].(*ast.PrintStmt)
+		pr := s.fe.Prog.Order[2].Unit.Body[0].(*ast.PrintStmt)
 		return weak.Make(pr.Args[0].(*ast.Binary))
 	}()
 	if wp.Value() == nil {
