@@ -366,9 +366,11 @@ func (fb *fnBuilder) analyzeProc(n *callgraph.Node) *intra.Result {
 func (fb *fnBuilder) analyze() error {
 	order := fb.fns.Graph.BottomUp()
 	useReturns := fb.fns.Config.UseReturnJFs
-	// Memoized summaries depend on nothing built this call (their
-	// callee closures are part of the memo key), so install them all up
-	// front, where a fresh build would have put them before any caller.
+	// A memoized procedure lies outside the edit's blast radius: it is
+	// neither an edited procedure nor a transitive caller of one, so
+	// nothing built in this call changes its summary. Install them all
+	// up front, where a fresh build would have put them before any
+	// caller.
 	for _, n := range order {
 		if m := fb.memoHit(n.Proc); m != nil && m.Summary != nil {
 			fb.fns.Returns[n.Proc] = m.Summary
