@@ -343,6 +343,18 @@ func bench(name string, bytes int64, f func(n int) error) Exhibit {
 	}))
 }
 
+// benchOps is bench over an operation run once per iteration.
+func benchOps(name string, bytes int64, op func() error) Exhibit {
+	return bench(name, bytes, func(n int) error {
+		for i := 0; i < n; i++ {
+			if err := op(); err != nil {
+				return fmt.Errorf("%s: %w", name, err)
+			}
+		}
+		return nil
+	})
+}
+
 // exhibitOf records one testing.Benchmark result.
 func exhibitOf(name string, bytes int64, r testing.BenchmarkResult) Exhibit {
 	e := Exhibit{
@@ -453,6 +465,10 @@ func editUnit(src string, seq int) string {
 	return fmt.Sprintf("%s\nNQZED = %d%s", src[:i], 1000+seq, src[i:])
 }
 
+// nqzUnit is a subroutine spec77 does not define, appended by the
+// add-unit exhibits.
+const nqzUnit = "      SUBROUTINE NQZADD(N)\n      INTEGER N\n      N = 3\n      END\n"
+
 // memoExhibits measures the incremental-analysis cache on the Table 2
 // program: a cold analysis populating a fresh cache each iteration, a
 // warm re-analysis of identical source against a primed cache, a warm
@@ -472,27 +488,16 @@ func memoExhibits() ([]Exhibit, error) {
 		return err
 	}
 
-	var out []Exhibit
-	out = append(out, bench("memo/cold", int64(len(src)), func(n int) error {
-		for i := 0; i < n; i++ {
-			if err := analyze(src, ipcp.NewCache(ipcp.CacheOptions{})); err != nil {
-				return err
-			}
-		}
-		return nil
-	}))
+	out := []Exhibit{benchOps("memo/cold", int64(len(src)), func() error {
+		return analyze(src, ipcp.NewCache(ipcp.CacheOptions{}))
+	})}
 
 	warmCache := ipcp.NewCache(ipcp.CacheOptions{})
 	if err := analyze(src, warmCache); err != nil {
 		return nil, err
 	}
-	out = append(out, bench("memo/warm-identical", int64(len(src)), func(n int) error {
-		for i := 0; i < n; i++ {
-			if err := analyze(src, warmCache); err != nil {
-				return err
-			}
-		}
-		return nil
+	out = append(out, benchOps("memo/warm-identical", int64(len(src)), func() error {
+		return analyze(src, warmCache)
 	}))
 
 	editCache := ipcp.NewCache(ipcp.CacheOptions{MaxBytes: 256 << 20})
@@ -500,14 +505,9 @@ func memoExhibits() ([]Exhibit, error) {
 		return nil, err
 	}
 	seq := 0
-	out = append(out, bench("memo/warm-one-edit", int64(len(src)), func(n int) error {
-		for i := 0; i < n; i++ {
-			seq++
-			if err := analyze(editUnit(src, seq), editCache); err != nil {
-				return err
-			}
-		}
-		return nil
+	out = append(out, benchOps("memo/warm-one-edit", int64(len(src)), func() error {
+		seq++
+		return analyze(editUnit(src, seq), editCache)
 	}))
 
 	// Edits the replace step takes beyond a line-preserving one, each
@@ -519,7 +519,7 @@ func memoExhibits() ([]Exhibit, error) {
 	at := strings.Index(src, mid.Text)
 	for _, x := range []struct{ name, text string }{
 		{"memo/warm-shifted-edit", src[:at] + editUnit(mid.Text, 0) + src[at+len(mid.Text):]},
-		{"memo/warm-add-unit", src + "      SUBROUTINE NQZADD(N)\n      INTEGER N\n      N = 3\n      END\n"},
+		{"memo/warm-add-unit", src + nqzUnit},
 	} {
 		text := x.text
 		out = append(out, benchPrimed(x.name, int64(len(text)), func() (func() error, error) {
@@ -548,6 +548,13 @@ func memoExhibits() ([]Exhibit, error) {
 // between the two is what blast-radius invalidation buys over
 // rebuild-everything.
 //
+// session/edit-add-unit and session/edit-shifted-edit are the edits of
+// memo/warm-add-unit and memo/warm-shifted-edit as deltas against the
+// spec77 session: a subroutine appended and deleted again, and the
+// middle unit made one line longer and restored, so every later unit
+// moves and is parsed again. One iteration is both deltas, each derived
+// from the resident program.
+//
 // session/edit-gen256-leaf is one fast edit of the daemon-edits kind: a
 // local constant tweaked in a leaf procedure of the 256-procedure
 // generated program (gen seed 1986). Spec77's edit re-analyzes a small
@@ -574,27 +581,34 @@ func sessionExhibits() ([]Exhibit, error) {
 	seq := 0
 	deltaEdit := func() error {
 		seq++
-		info, err := s.Edit(ctx, []ipcp.UnitEdit{{Op: "replace", Index: last, Text: editUnit(chunks[last].Text, seq)}})
-		if err != nil {
-			return err
-		}
-		if !info.FastPath {
-			return fmt.Errorf("session edit fell off the fast path")
-		}
-		return nil
+		_, err := fastEdit(ctx, s, ipcp.UnitEdit{Op: "replace", Index: last, Text: editUnit(chunks[last].Text, seq)})
+		return err
 	}
 	if err := deltaEdit(); err != nil {
 		return nil, fmt.Errorf("memo/warm-one-edit-delta: %w", err)
 	}
-	var out []Exhibit
-	out = append(out, bench("memo/warm-one-edit-delta", int64(len(src)), func(n int) error {
-		for i := 0; i < n; i++ {
-			if err := deltaEdit(); err != nil {
-				return err
+	out := []Exhibit{benchOps("memo/warm-one-edit-delta", int64(len(src)), deltaEdit)}
+
+	mid := len(chunks) / 2
+	for _, x := range []struct {
+		name   string
+		deltas []ipcp.UnitEdit
+	}{
+		{"session/edit-add-unit", []ipcp.UnitEdit{{Op: "add", Index: len(chunks), Text: nqzUnit}, {Op: "delete", Index: len(chunks)}}},
+		{"session/edit-shifted-edit", []ipcp.UnitEdit{
+			{Op: "replace", Index: mid, Text: editUnit(chunks[mid].Text, 0)},
+			{Op: "replace", Index: mid, Text: chunks[mid].Text},
+		}},
+	} {
+		out = append(out, benchOps(x.name, int64(len(src)), func() error {
+			for _, d := range x.deltas {
+				if _, err := fastEdit(ctx, s, d); err != nil {
+					return err
+				}
 			}
-		}
-		return nil
-	}))
+			return nil
+		}))
+	}
 
 	const depth = 16
 	var b strings.Builder
@@ -613,54 +627,44 @@ func sessionExhibits() ([]Exhibit, error) {
 	if err != nil {
 		return nil, fmt.Errorf("chain session open: %w", err)
 	}
-	blastEdit := func(name string, index int, text func(int) string, wantBlast int) func() error {
+	blastEdit := func(index int, text func(int) string, wantBlast int) func() error {
 		return func() error {
 			seq++
-			info, err := chain.Edit(ctx, []ipcp.UnitEdit{{Op: "replace", Index: index, Text: text(seq)}})
-			if err != nil {
-				return err
+			info, err := fastEdit(ctx, chain, ipcp.UnitEdit{Op: "replace", Index: index, Text: text(seq)})
+			if err == nil && info.UnitsInvalidated != wantBlast {
+				err = fmt.Errorf("blast radius %d, want %d", info.UnitsInvalidated, wantBlast)
 			}
-			if !info.FastPath || info.UnitsInvalidated != wantBlast {
-				return fmt.Errorf("%s: fast=%t blast=%d (want fast, blast %d)", name, info.FastPath, info.UnitsInvalidated, wantBlast)
-			}
-			return nil
+			return err
 		}
 	}
-	srcLen := int64(b.Len())
 	for _, bx := range []struct {
 		name string
 		edit func() error
 	}{
-		{"session/edit-blast-radius-1", blastEdit("blast-1", 0, mainText, 1)},
-		{"session/edit-blast-radius-n", blastEdit("blast-n", depth, leafText, depth+1)},
+		{"session/edit-blast-radius-1", blastEdit(0, mainText, 1)},
+		{"session/edit-blast-radius-n", blastEdit(depth, leafText, depth+1)},
 	} {
 		if err := bx.edit(); err != nil {
 			return nil, fmt.Errorf("%s: %w", bx.name, err)
 		}
-		edit := bx.edit
-		out = append(out, bench(bx.name, srcLen, func(n int) error {
-			for i := 0; i < n; i++ {
-				if err := edit(); err != nil {
-					return err
-				}
-			}
-			return nil
-		}))
+		out = append(out, benchOps(bx.name, int64(b.Len()), bx.edit))
 	}
 
 	leafEdit, genLen, err := genLeafEdit(ctx, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("session/edit-gen256-leaf: %w", err)
 	}
-	out = append(out, bench("session/edit-gen256-leaf", genLen, func(n int) error {
-		for i := 0; i < n; i++ {
-			if err := leafEdit(); err != nil {
-				return err
-			}
-		}
-		return nil
-	}))
-	return out, nil
+	return append(out, benchOps("session/edit-gen256-leaf", genLen, leafEdit)), nil
+}
+
+// fastEdit applies one delta to s and fails unless the session derived
+// the edited program from its resident one.
+func fastEdit(ctx context.Context, s *ipcp.Session, e ipcp.UnitEdit) (ipcp.EditInfo, error) {
+	info, err := s.Edit(ctx, []ipcp.UnitEdit{e})
+	if err == nil && !info.FastPath {
+		err = fmt.Errorf("%s of unit %d fell off the fast path", e.Op, e.Index)
+	}
+	return info, err
 }
 
 // localInit matches a generated local's initialization, "  L3 = 14" or
@@ -705,14 +709,8 @@ func genLeafEdit(ctx context.Context, cfg ipcp.Config) (edit func() error, size 
 	edit = func() error {
 		seq++
 		tweaked := text[:loc[4]] + strconv.Itoa(seq%7+1) + text[loc[5]:]
-		info, err := s.Edit(ctx, []ipcp.UnitEdit{{Op: "replace", Index: leaf, Text: tweaked}})
-		if err != nil {
-			return err
-		}
-		if !info.FastPath {
-			return fmt.Errorf("leaf edit fell off the fast path")
-		}
-		return nil
+		_, err := fastEdit(ctx, s, ipcp.UnitEdit{Op: "replace", Index: leaf, Text: tweaked})
+		return err
 	}
 	if err := edit(); err != nil {
 		return nil, 0, err

@@ -19,7 +19,9 @@ import (
 //  1. The procedure's jump functions are unchanged since the record was
 //     stored. The store's owner (a session) guarantees this by dropping
 //     a procedure's records whenever the procedure's jump functions are
-//     rebuilt (the edit blast radius).
+//     rebuilt (the edit blast radius), and the driver consults the memo
+//     only in the requested configuration's attempt, never in a
+//     degradation fallback.
 //  2. The procedure has no self-call site. The evaluation environment
 //     reads the live VAL matrix, so a self-call's lowering would mutate
 //     the procedure's own row mid-step; such procedures always take the

@@ -282,6 +282,9 @@ func AnalyzeProgramErr(ctx context.Context, prog *sem.Program, cfgg Config) (*An
 			return a, nil
 		}
 		attempt = next
+		// The steps the failed attempt recorded replay its jump
+		// functions, which a fallback configuration does not build.
+		attempt.Contexts = nil
 	}
 }
 

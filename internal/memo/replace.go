@@ -23,18 +23,17 @@ type Front struct {
 }
 
 // Unit is one unit of an edited program: the old program's unit at
-// index Keep, or, when Text is set, Text as it appears at line Line of
-// file File.
+// index Keep, or, when Keep is negative, a new unit: the text of Chunk
+// at its start line.
 type Unit struct {
 	Keep int
-	File string
-	Line int
-	Text string
+	Chunk
 }
 
 // Replace is the replace step of incremental analysis, the one path by
 // which both the cache and sessions reuse an analyzed program. units
-// lists the edited program's units; Replace parses each new one alone
+// lists the edited program's units, as Plan aligns them with f's;
+// Replace parses each new one alone
 // at its absolute line, so its AST holds exactly the positions a parse
 // of the whole text would give, derives the program with them
 // (sem.Program.Derive), and rebuilds the call graph and MOD/REF
@@ -49,8 +48,8 @@ type Unit struct {
 // name before, and a path through a new unit's body starts at a unit
 // already in blast.
 //
-// ok is false when a new unit does not parse alone to exactly one unit,
-// produces any diagnostic, or is rejected by the derivation, or when a
+// ok is false when a new unit does not parse alone to exactly one unit
+// (an empty text parses to none), produces any diagnostic, or is rejected by the derivation, or when a
 // kept unit calls a procedure the edit removed; the caller then
 // analyzes the edited text from scratch.
 func Replace(f Front, units []Unit) (next Front, blast []*sem.Procedure, ok bool) {
@@ -58,14 +57,16 @@ func Replace(f Front, units []Unit) (next Front, blast []*sem.Procedure, ok bool
 	list := make([]*ast.Unit, len(units))
 	for i, u := range units {
 		switch {
-		case u.Text == "" && u.Keep >= 0 && u.Keep < len(old):
+		case u.Keep >= len(old):
+			return Front{}, nil, false
+		case u.Keep >= 0:
 			list[i] = old[u.Keep]
 			continue
-		case u.Text == "" || u.Line < 1:
+		case u.StartLine < 1:
 			return Front{}, nil, false
 		}
 		var diags source.ErrorList
-		uf := parser.ParseSource(u.File, strings.Repeat("\n", u.Line-1)+u.Text, &diags)
+		uf := parser.ParseSource(u.File, strings.Repeat("\n", u.StartLine-1)+u.Text, &diags)
 		if len(diags.Diags) > 0 || len(uf.Units) != 1 {
 			return Front{}, nil, false
 		}

@@ -151,16 +151,14 @@ type Hooks struct {
 	c  *Cache // nil outside a cache
 	w  *world // the cache world st belongs to
 
-	built, reused atomic.Int64
+	jumps, substs atomic.Int64 // reused per-procedure artifacts
 }
 
-// Built returns how many procedures' jump functions the analysis built
-// rather than reused.
-func (h *Hooks) Built() int { return int(h.built.Load()) }
-
-// Reused returns how many procedures' substitution decisions the
-// analysis reused.
-func (h *Hooks) Reused() int { return int(h.reused.Load()) }
+// Reused returns how many procedures' jump functions and substitution
+// decisions the analysis reused.
+func (h *Hooks) Reused() (jumps, substs int) {
+	return int(h.jumps.Load()), int(h.substs.Load())
+}
 
 // Graph implements core.MemoHooks.
 func (h *Hooks) Graph() (*callgraph.Graph, *modref.Info) { return h.f.Graph, h.f.Mod }
@@ -181,6 +179,7 @@ func (h *Hooks) Funcs(c core.Config, jc jump.Config, b *symbolic.Builder) (*jump
 	}
 	ready := maps.Clone(ja.procs)
 	h.st.mu.Unlock()
+	h.jumps.Add(int64(len(ready)))
 	h.c.count(uint64(len(ready)), uint64(1+len(h.f.Prog.Order)-len(ready)))
 	return nil, 0, &jumpMemo{h: h, ja: ja, ready: ready}
 }
@@ -315,7 +314,6 @@ type jumpMemo struct {
 func (m *jumpMemo) Lookup(p *sem.Procedure) *jump.ProcMemo { return m.ready[p].pm }
 
 func (m *jumpMemo) Store(p *sem.Procedure, pm *jump.ProcMemo) {
-	m.h.built.Add(1)
 	bytes := 256 + summaryBytes(pm.Summary) + sitesBytes(pm.Sites)
 	st := m.h.st
 	st.mu.Lock()
@@ -345,7 +343,7 @@ func (m *substMemo) Lookup(p *sem.Procedure) (int, map[ast.Expr]string, bool) {
 		return 0, nil, false
 	}
 	if art, ok := m.ready[p]; ok && maps.Equal(art.entry, m.entry(p)) {
-		m.h.reused.Add(1)
+		m.h.substs.Add(1)
 		m.h.c.count(1, 0)
 		return art.count, art.repl, true
 	}

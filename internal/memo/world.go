@@ -165,7 +165,7 @@ func (c *Cache) deriveWorld(key, shape string, chunks []Chunk) (w *world, carrie
 	c.mu.Lock()
 	ws := c.shapes[shape]
 	for i := len(ws) - 1; i >= 0 && i >= len(ws)-maxDonors && (donor == nil || best > 2); i-- {
-		us, k := plan(ws[i].chunks, chunks)
+		us, k := Plan(ws[i].chunks, chunks)
 		// n counts the new units plus the donor units dropped.
 		if n := len(chunks) + len(ws[i].chunks) - 2*k; k > 0 && (donor == nil || n < best) {
 			donor, units, best, kept = ws[i], us, n, k
@@ -186,13 +186,16 @@ func (c *Cache) deriveWorld(key, shape string, chunks []Chunk) (w *world, carrie
 	return w, carried
 }
 
-// plan aligns chunks with a donor's split of the same files and returns
-// the edited program's units. In each file the units before the first
-// difference and after the last are kept; every other unit is new,
-// including one that only moved because an edit above it changed the
-// file's line count: it is parsed again at its new line. kept counts
-// the units kept.
-func plan(donor, chunks []Chunk) (units []Unit, kept int) {
+// Plan aligns the unit split of an edited program, chunks, with the
+// split of the program it derives from, donor, and returns the edited
+// program's units for Replace. A unit is kept when the donor has a unit
+// of identical text at the identical start line of the same file; one
+// merge over start lines per file finds them, and since start lines
+// increase within a file, kept units keep the donor's order. Every
+// other unit is new, including one that only moved because an edit
+// above it changed the file's line count: it is parsed again at its new
+// line. kept counts the units kept.
+func Plan(donor, chunks []Chunk) (units []Unit, kept int) {
 	units = make([]Unit, 0, len(chunks))
 	for i, j := 0, 0; j < len(chunks); {
 		di, dj := i, j
@@ -202,26 +205,18 @@ func plan(donor, chunks []Chunk) (units []Unit, kept int) {
 		for dj < len(chunks) && chunks[dj].File == chunks[j].File {
 			dj++
 		}
-		d, e := donor[i:di], chunks[j:dj]
-		pre := 0
-		for pre < len(d) && pre < len(e) && d[pre] == e[pre] {
-			pre++
-		}
-		suf := 0
-		for suf < len(d)-pre && suf < len(e)-pre && d[len(d)-1-suf] == e[len(e)-1-suf] {
-			suf++
-		}
-		for k, ch := range e {
-			switch {
-			case k < pre:
-				units = append(units, Unit{Keep: i + k})
-			case k >= len(e)-suf:
-				units = append(units, Unit{Keep: i + k - len(e) + len(d)})
-			default:
-				units = append(units, Unit{File: ch.File, Line: ch.StartLine, Text: ch.Text})
+		for _, ch := range chunks[j:dj] {
+			for i < di && donor[i].StartLine < ch.StartLine {
+				i++
+			}
+			if i < di && donor[i] == ch {
+				units = append(units, Unit{Keep: i})
+				kept++
+				i++
+			} else {
+				units = append(units, Unit{Keep: -1, Chunk: ch})
 			}
 		}
-		kept += pre + suf
 		i, j = di, dj
 	}
 	return units, kept

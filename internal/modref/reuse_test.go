@@ -188,7 +188,7 @@ func TestComputeReuseMatchesCompute(t *testing.T) {
 			for i := range units {
 				units[i].Keep = i
 			}
-			units[idx] = memo.Unit{File: name, Line: chunks[idx].StartLine, Text: text}
+			units[idx] = memo.Unit{Keep: -1, Chunk: memo.Chunk{File: name, StartLine: chunks[idx].StartLine, Text: text}}
 			next, _, ok := memo.Replace(fe, units)
 			if !ok {
 				return false

@@ -25,7 +25,7 @@ func TestFastReplaceReleasesReplacedAST(t *testing.T) {
 	}
 	replaceLeaf := func(from, to string) {
 		t.Helper()
-		text := strings.Replace(s.units[2], from, to, 1)
+		text := strings.Replace(s.units[2].Text, from, to, 1)
 		info, err := s.Apply(ctx, []Edit{{Op: OpReplace, Index: 2, Text: text}})
 		if err != nil {
 			t.Fatal(err)

@@ -1,17 +1,21 @@
 // Package session implements stateful compiler-daemon sessions: delta
 // edits over a resident, already-analyzed program.
 //
-// A session holds one program as a list of per-unit source texts plus
-// every artifact of its last analysis — the parsed AST, the semantic
-// Program, per-procedure CFGs, the artifact store of jump functions and
-// substitution decisions, and the value-context store — all keyed by
-// live pointers, not content hashes. A replace-unit delta goes through
-// the replace step of package memo, the same one the analysis cache
-// derives edited programs with: it re-analyzes exactly one unit
-// (sem.Program.Derive), invalidates only along the edited procedure's
-// transitive caller chain (the "blast radius"), and keeps every other
-// procedure's artifacts by pointer. What a session saves over the cache
-// is the lookup itself: no re-splitting, no hashing, no donor search.
+// A session holds one program as a list of unit chunks (each unit's
+// text and start line) plus every artifact of its last analysis — the
+// semantic Program with its AST, the call graph and MOD/REF summaries,
+// the artifact store of jump functions and substitution decisions, and
+// the value-context store — all keyed by live pointers, not content
+// hashes. Apply applies a delta list (replace, add, delete) to a copy
+// of the chunk list and derives the edited program from the resident
+// one by the rule the analysis cache derives an edited text from a
+// cached one: memo.Plan keeps every unit whose text and start line are
+// unchanged, and memo.Replace parses every other unit alone at its
+// line, derives the program (sem.Program.Derive), and invalidates only
+// the new and removed procedures and their transitive callers (the
+// "blast radius"). Every other procedure keeps its artifacts by
+// pointer. What a session saves over the cache is the lookup itself:
+// no re-splitting, no hashing, no donor search.
 //
 // Soundness of the blast radius is argued at memo.Replace: nothing
 // outside it can see the edit, so its jump functions, substitution
@@ -23,28 +27,25 @@
 // Cross-builder discipline: reused jump-function expressions were
 // interned by an earlier analysis's builders. That is safe under the
 // repo's standing invariant that expressions cross builders only
-// through symbolic.Builder.Substitute (which re-interns) or through
-// symbolic.Eval (which is purely structural); the session never feeds a
-// foreign expression to an interning constructor directly.
+// through symbolic.Builder.Substitute (which re-interns) or through a
+// domain's Eval, which walks the expression and interns nothing; the
+// session never feeds a foreign expression to an interning constructor
+// directly.
 //
-// Fast-path gates (everything else falls back to a full rebuild, which
-// can cost time but never correctness):
-//   - the previous analysis was clean: no diagnostics, no degradations,
-//     and not complete-propagation mode;
-//   - the delta is a replace whose unit parses alone to exactly one
-//     clean unit;
-//   - the replacement preserves the unit's interface (name, kind,
-//     formals, result type) and its effects on the COMMON layout —
-//     verified by sem.Program.Derive, because callers are not
-//     re-checked;
-//   - the replacement preserves the unit's line count (or edits the
-//     last unit), so every retained AST position matches what a cold
-//     parse of the full text would produce.
+// An edit the replace step cannot take rebuilds the whole program from
+// its text, exactly as a cold analysis would: when the resident program
+// has a front-end diagnostic or does not align with the chunk list,
+// when a chunk other than the last does not end a line, when no unit
+// is kept, or when memo.Replace rejects the edit (a unit that does not
+// parse alone to exactly one clean unit, an interface or COMMON-layout
+// change, a kept unit calling a removed one). A rebuild costs time,
+// never correctness.
 package session
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/ast"
@@ -62,9 +63,7 @@ import (
 type Op string
 
 // The delta operations: replace the unit at Index with Text, insert
-// Text as a new unit at Index, or delete the unit at Index. Only
-// replace can take the fast path; add and delete restructure the unit
-// list and always rebuild.
+// Text as a new unit at Index, or delete the unit at Index.
 const (
 	OpReplace Op = "replace"
 	OpAdd     Op = "add"
@@ -93,7 +92,7 @@ func editErrorf(format string, args ...interface{}) *EditError {
 type Stats struct {
 	// Edits counts delta operations applied.
 	Edits int64
-	// FastEdits counts Apply calls served entirely by the fast path.
+	// FastEdits counts Apply calls that derived the edited program.
 	FastEdits int64
 	// FullRebuilds counts full re-analyses (including the opening one).
 	FullRebuilds int64
@@ -112,7 +111,8 @@ type Stats struct {
 
 // EditInfo reports what one Apply call did.
 type EditInfo struct {
-	// FastPath is true when every edit in the call avoided a rebuild.
+	// FastPath is true when the call derived the edited program from
+	// the resident one instead of rebuilding it.
 	FastPath bool
 	// UnitsInvalidated is the total blast-radius size (fast path) or the
 	// whole program size (rebuild).
@@ -132,10 +132,12 @@ type Session struct {
 	name string
 	cfg  core.Config
 
-	// units holds the per-unit source texts; their concatenation is the
-	// program text (cold-analysis equivalence is always stated against
-	// that concatenation).
-	units []string
+	// units is the program text's unit split: the chunk texts
+	// concatenate to the text (cold-analysis equivalence is always
+	// stated against that concatenation), and each chunk's StartLine is
+	// one plus the newlines before it. A rebuild sets the canonical
+	// split (memo.Split); Apply edits the list instead of re-splitting.
+	units []memo.Chunk
 
 	fe   memo.Front
 	arts *memo.Store
@@ -146,12 +148,9 @@ type Session struct {
 	front    []string
 	resErr   error
 
-	// clean gates the fast path: the last analysis completed with no
-	// diagnostics, no degradations, and artifacts were captured.
-	clean bool
-	// aligned records that units, file.Units, and prog.Order correspond
-	// index-for-index.
-	aligned bool
+	// donor records that fe may be a replace donor: its front end had
+	// no diagnostic and its units correspond to units index for index.
+	donor bool
 
 	stats Stats
 }
@@ -166,37 +165,23 @@ func Open(ctx context.Context, name, src string, cfg core.Config) (*Session, err
 	cfg.Trace = nil
 	cfg.Contexts = nil
 	s := &Session{
-		name: name,
-		cfg:  cfg,
-		arts: memo.NewStore(),
-		ctxs: memo.NewContextStore(),
+		name:  name,
+		cfg:   cfg,
+		units: []memo.Chunk{{File: name, StartLine: 1, Text: src}},
+		arts:  memo.NewStore(),
+		ctxs:  memo.NewContextStore(),
 	}
-	s.setUnits(src)
 	if err := s.rebuild(ctx); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// setUnits renormalizes the unit list to the canonical unit split of
-// src (so indices always line up with parsed units); an unsplittable
-// text becomes a single unit.
-func (s *Session) setUnits(src string) {
-	s.units = s.units[:0]
-	if chunks, ok := memo.Split(s.name, src); ok {
-		for _, c := range chunks {
-			s.units = append(s.units, c.Text)
-		}
-		return
-	}
-	s.units = append(s.units, src)
-}
-
 // Source returns the program text: the concatenation of the unit texts.
 func (s *Session) Source() string {
 	var b strings.Builder
 	for _, u := range s.units {
-		b.WriteString(u)
+		b.WriteString(u.Text)
 	}
 	return b.String()
 }
@@ -213,7 +198,7 @@ func (s *Session) Stats() Stats { return s.stats }
 func (s *Session) MemoryBytes() int64 {
 	var src int64
 	for _, u := range s.units {
-		src += int64(len(u))
+		src += int64(len(u.Text))
 	}
 	return src*24 + 32768 + s.ctxs.Bytes()
 }
@@ -227,9 +212,11 @@ func (s *Session) Snapshot() (*core.Analysis, *ast.File, *subst.Result, []string
 	return s.analysis, s.fe.Prog.File, s.subRes, s.front, nil
 }
 
-// Apply applies a sequence of deltas and re-analyzes. Index validation
-// covers the whole sequence before anything is applied, so an invalid
-// edit leaves the session untouched. Analysis errors (front-end errors
+// Apply applies a sequence of deltas and re-analyzes. Each delta is
+// validated against the unit list the deltas before it leave, and an
+// invalid one leaves the session untouched. The edited program is derived from
+// the resident one when the replace step can take the whole sequence,
+// and rebuilt from its text otherwise. Analysis errors (front-end errors
 // introduced by the edit, fail-fast budget exhaustion) are returned and
 // also retained as the session's result state; the session stays open
 // and later edits can repair it.
@@ -238,114 +225,101 @@ func (s *Session) Apply(ctx context.Context, edits []Edit) (EditInfo, error) {
 	if len(edits) == 0 {
 		return info, editErrorf("session: empty edit list")
 	}
-	n := len(s.units)
+	units := slices.Clone(s.units)
 	for _, e := range edits {
-		switch e.Op {
-		case OpReplace:
-			if e.Index < 0 || e.Index >= n {
-				return info, editErrorf("session: replace index %d out of range (%d units)", e.Index, n)
-			}
-		case OpAdd:
-			if e.Index < 0 || e.Index > n {
-				return info, editErrorf("session: add index %d out of range (%d units)", e.Index, n)
-			}
-			n++
-		case OpDelete:
-			if e.Index < 0 || e.Index >= n {
-				return info, editErrorf("session: delete index %d out of range (%d units)", e.Index, n)
-			}
-			n--
-		default:
-			return info, editErrorf("session: unknown edit op %q", e.Op)
+		var err error
+		if units, err = s.edit(units, e); err != nil {
+			return EditInfo{}, err
 		}
-	}
-
-	for _, e := range edits {
 		info.DeltaBytes += len(e.Text)
 	}
 	s.stats.Edits += int64(len(edits))
 	s.stats.DeltaBytes += int64(info.DeltaBytes)
 
-	needRebuild := false
-	for _, e := range edits {
-		switch e.Op {
-		case OpReplace:
-			if !needRebuild && s.tryFastReplace(e, &info) {
-				continue
-			}
-			s.units[e.Index] = e.Text
-			needRebuild = true
-		case OpAdd:
-			s.units = append(s.units, "")
-			copy(s.units[e.Index+1:], s.units[e.Index:])
-			s.units[e.Index] = e.Text
-			needRebuild = true
-		case OpDelete:
-			s.units = append(s.units[:e.Index], s.units[e.Index+1:]...)
-			needRebuild = true
-		}
-	}
-
 	hitsBefore := s.ctxs.Hits()
 	var err error
-	if needRebuild {
-		info.UnitsInvalidated = len(s.units)
-		err = s.rebuild(ctx)
-	} else {
-		info.FastPath = true
+	if blast, ok := s.derive(units); ok {
+		info.FastPath, info.UnitsInvalidated = true, blast
 		s.stats.FastEdits++
-		var reusedJF, reusedSub int
-		err = s.analyze(ctx, nil, &reusedJF, &reusedSub)
-		info.JumpReused, info.SubstReused = reusedJF, reusedSub
+		info.JumpReused, info.SubstReused, err = s.analyze(ctx, nil)
+	} else {
+		s.units = units
+		info.UnitsInvalidated = len(units)
+		err = s.rebuild(ctx)
 	}
 	info.ContextsReused = int(s.ctxs.Hits() - hitsBefore)
 	return info, err
 }
 
-// tryFastReplace attempts the replace step for one replace delta. It
-// changes the session (program, artifacts, unit text) only on success;
-// on failure the caller records the text and rebuilds.
-func (s *Session) tryFastReplace(e Edit, info *EditInfo) bool {
-	if !s.clean || !s.aligned || s.resErr != nil || s.analysis == nil ||
-		len(s.front) > 0 || s.cfg.Complete {
-		return false
+// edit applies one delta to a chunk list and shifts the start lines of
+// the chunks after it by the delta's change in line count. It returns
+// an *EditError for an unknown op or an index out of range.
+func (s *Session) edit(units []memo.Chunk, e Edit) ([]memo.Chunk, error) {
+	at, n := e.Index, len(units)
+	switch {
+	case e.Op != OpReplace && e.Op != OpAdd && e.Op != OpDelete:
+		return nil, editErrorf("session: unknown edit op %q", e.Op)
+	case at < 0 || at > n || at == n && e.Op != OpAdd:
+		return nil, editErrorf("session: %s index %d out of range (%d units)", e.Op, at, n)
 	}
-	idx, text := e.Index, e.Text
-	old := s.units[idx]
-	if text == old {
-		return true // no-op delta: nothing to invalidate or re-analyze
+	line := 1
+	switch {
+	case at < n:
+		line = units[at].StartLine
+	case at > 0:
+		line = units[at-1].StartLine + strings.Count(units[at-1].Text, "\n")
 	}
-	// Position preservation: every retained AST keeps its parse
-	// positions, so units after the edited one must not shift. Editing
-	// the last unit shifts nothing; otherwise the replacement must hold
-	// the line count (and stay newline-terminated so the next unit's
-	// header still starts a line in the concatenated text).
-	if idx != len(s.units)-1 &&
-		(strings.Count(text, "\n") != strings.Count(old, "\n") || !strings.HasSuffix(text, "\n")) {
-		return false
+	ch := memo.Chunk{File: s.name, StartLine: line, Text: e.Text}
+	shift := strings.Count(e.Text, "\n")
+	switch e.Op {
+	case OpReplace:
+		shift -= strings.Count(units[at].Text, "\n")
+		units[at] = ch
+		at++
+	case OpAdd:
+		units = slices.Insert(units, at, ch)
+		at++
+	case OpDelete:
+		shift = -strings.Count(units[at].Text, "\n")
+		units = slices.Delete(units, at, at+1)
 	}
-	startLine := 1
-	for i := 0; i < idx; i++ {
-		startLine += strings.Count(s.units[i], "\n")
+	for i := at; i < len(units); i++ {
+		units[i].StartLine += shift
 	}
-	units := make([]memo.Unit, len(s.units))
-	for i := range units {
-		units[i].Keep = i
+	return units, nil
+}
+
+// derive derives the program of the edited chunk list units from the
+// resident one through the replace step, installs both, and returns the
+// size of the blast radius. ok is false, and nothing changed, when the
+// resident program is no donor, when a chunk other than the last does
+// not end a line (its start line would not be its line in the
+// concatenated text), when no unit is kept, or when memo.Replace
+// rejects the edit.
+func (s *Session) derive(units []memo.Chunk) (blast int, ok bool) {
+	if !s.donor {
+		return 0, false
 	}
-	units[idx] = memo.Unit{File: s.name, Line: startLine, Text: text}
-	fe, blast, ok := memo.Replace(s.fe, units)
+	for _, c := range units[:max(len(units)-1, 0)] {
+		if !strings.HasSuffix(c.Text, "\n") {
+			return 0, false
+		}
+	}
+	plan, kept := memo.Plan(s.units, units)
+	if kept == 0 {
+		return 0, false
+	}
+	fe, procs, ok := memo.Replace(s.fe, plan)
 	if !ok {
-		return false
+		return 0, false
 	}
-	s.units[idx] = text
-	s.fe = fe
-	s.arts.Drop(blast)
-	for _, p := range blast {
+	s.units, s.fe = units, fe
+	s.arts.Drop(procs)
+	for _, p := range procs {
 		s.ctxs.Invalidate(p)
 	}
-	info.UnitsInvalidated += len(blast)
-	s.stats.UnitsInvalidated += int64(len(blast))
-	return true
+	s.stats.UnitsInvalidated += int64(len(procs))
+	return len(procs), true
 }
 
 // rebuild re-analyzes the whole program from the concatenated unit
@@ -355,10 +329,14 @@ func (s *Session) rebuild(ctx context.Context) error {
 	s.stats.FullRebuilds++
 	s.fe = memo.Front{}
 	s.analysis, s.subRes, s.front, s.resErr = nil, nil, nil, nil
-	s.clean, s.aligned = false, false
+	s.donor = false
 
 	src := s.Source()
-	s.setUnits(src)
+	if chunks, ok := memo.Split(s.name, src); ok {
+		s.units = chunks
+	} else {
+		s.units = []memo.Chunk{{File: s.name, StartLine: 1, Text: src}}
+	}
 	var diags source.ErrorList
 	f := parser.ParseFile(source.NewFile(s.name, src), &diags)
 	semCtx := ctx
@@ -376,57 +354,45 @@ func (s *Session) rebuild(ctx context.Context) error {
 	}
 	g := callgraph.Build(prog)
 	s.fe = memo.Front{Prog: prog, Graph: g, Mod: modref.Compute(g)}
-	s.aligned = len(f.Units) == len(s.units) && len(prog.Order) == len(f.Units)
+	s.donor = len(diags.Diags) == 0 && len(f.Units) == len(s.units) && len(prog.Order) == len(f.Units)
 	var front []string
 	for _, d := range diags.Diags {
 		front = append(front, d.String())
 	}
-	return s.analyze(ctx, front, nil, nil)
+	_, _, err = s.analyze(ctx, front)
+	return err
 }
 
 // analyze runs the interprocedural driver over the resident program
-// with the artifact store's hooks, computes the substitution eagerly,
-// and keeps the artifacts the analysis stored only if it was clean.
-func (s *Session) analyze(ctx context.Context, front []string, reusedJF, reusedSub *int) error {
+// with the artifact store's hooks and computes the substitution
+// eagerly. It returns how many procedures' jump functions and
+// substitution decisions were reused. Artifacts a degraded analysis
+// stored, or stored for a program with front-end warnings, are dropped.
+func (s *Session) analyze(ctx context.Context, front []string) (jumps, substs int, err error) {
 	cfg := s.cfg
 	h := s.arts.Hooks(s.fe)
-	cfg.Hooks = h
-	if !cfg.Complete {
-		cfg.Contexts = s.ctxs
-	}
-
+	// The solver consults no value context under complete propagation.
+	cfg.Hooks, cfg.Contexts = h, s.ctxs
 	a, err := core.AnalyzeProgramErr(ctx, s.fe.Prog, cfg)
 	if err != nil {
 		s.wipeArtifacts()
 		s.resErr = err
-		return err
+		return 0, 0, err
 	}
 	sub := a.Substitute()
 	s.analysis, s.subRes, s.front, s.resErr = a, sub, front, nil
 	s.stats.ContextHits = s.ctxs.Hits()
 	s.stats.ContextMisses = s.ctxs.Misses()
-
-	if cfg.Complete || a.Degraded() || len(front) > 0 {
-		// Complete propagation's artifacts are round-dependent; degraded
-		// analyses may mix configurations from the fallback chain; a
-		// program with front-end warnings never takes the fast path. In
-		// every case retained artifacts would be dead weight (or worse).
+	jumps, substs = h.Reused()
+	s.stats.JumpReused += int64(jumps)
+	s.stats.SubstReused += int64(substs)
+	if a.Degraded() || len(front) > 0 {
+		// A degraded analysis mixes configurations from the fallback
+		// chain, and a program with front-end warnings is rebuilt on its
+		// next edit: retained artifacts would be dead weight.
 		s.wipeArtifacts()
-		s.clean = false
-		return nil
 	}
-	nJF := len(s.fe.Prog.Order) - h.Built()
-	nSub := h.Reused()
-	if reusedJF != nil {
-		*reusedJF = nJF
-	}
-	if reusedSub != nil {
-		*reusedSub = nSub
-	}
-	s.stats.JumpReused += int64(nJF)
-	s.stats.SubstReused += int64(nSub)
-	s.clean = true
-	return nil
+	return jumps, substs, nil
 }
 
 func (s *Session) wipeArtifacts() {

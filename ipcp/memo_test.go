@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -114,22 +116,27 @@ func TestCacheCompletePropagation(t *testing.T) {
 	}
 }
 
-// editOneUnit flips the constant in the first assignment-looking line
-// it finds inside the named unit, producing a semantically different
-// program that shares every other unit's text.
-func editSource(src, marker, replacement string) (string, bool) {
+// editSource returns src with the first marker replaced, failing the
+// test when src has no marker: an edit that changes nothing tests
+// nothing.
+func editSource(t *testing.T, src, marker, replacement string) string {
+	t.Helper()
 	i := strings.Index(src, marker)
 	if i < 0 {
-		return src, false
+		t.Fatalf("no %q to edit", marker)
 	}
-	return src[:i] + replacement + src[i+len(marker):], true
+	return src[:i] + replacement + src[i+len(marker):]
 }
+
+// firstLiteral matches the first integer literal right of an "=".
+var firstLiteral = regexp.MustCompile(`=\s*(\d+)`)
 
 // TestCacheEditInvalidation re-analyzes edited variants of each suite
 // program against a shared cache and checks every answer matches the
 // uncached analysis of the same text — i.e. unit-level reuse never
 // leaks stale constants into an edited program, and an edit to a callee
 // invalidates its callers' artifacts (they lie in its blast radius).
+// Each edit must be derived from the cached base.
 func TestCacheEditInvalidation(t *testing.T) {
 	for _, spec := range suite.Programs() {
 		src := suite.Source(spec)
@@ -145,22 +152,32 @@ func TestCacheEditInvalidation(t *testing.T) {
 					t.Errorf("%s: cached output diverges from uncached", label)
 				}
 			}
+			derived := func(label, text string) {
+				t.Helper()
+				before := cache.Stats().Derived
+				check(label, text)
+				if got := cache.Stats().Derived; got <= before {
+					t.Errorf("%s was not derived from the cached base (derived %d, was %d)", label, got, before)
+				}
+			}
 
 			check("base", src)
-			// Constant edits: every "= <n>" becomes a different constant.
-			if edited, ok := editSource(src, "= 4", "= 7"); ok {
-				before := cache.Stats().Derived
-				check("const-edit", edited)
-				if got := cache.Stats().Derived; got <= before {
-					t.Errorf("const-edit was not derived from the cached base (derived %d, was %d)", got, before)
-				}
+			// A constant edit: the first integer literal right of an "="
+			// changes.
+			if m := firstLiteral.FindStringSubmatchIndex(src); m != nil {
+				n, _ := strconv.Atoi(src[m[2]:m[3]])
+				derived("const-edit", src[:m[2]]+strconv.Itoa(n+7)+src[m[3]:])
 				check("base-again", src) // original artifacts must survive
+			} else {
+				t.Logf("%s has no integer literal right of an =; no constant edit", spec.Name)
 			}
-			// A structural edit to one unit (dropping a statement changes
-			// that unit's summary, so callers' artifacts must miss).
-			if edited, ok := editSource(src, "CALL ", "CONTINUE\n      CALL "); ok {
-				check("struct-edit", edited)
+			// A structural edit: a statement inserted before the last call
+			// moves every later unit.
+			i := strings.LastIndex(src, "CALL ")
+			if i < 0 {
+				t.Fatal("no call to edit")
 			}
+			derived("struct-edit", src[:i]+"CONTINUE\n      "+src[i:])
 		})
 	}
 }
@@ -275,7 +292,9 @@ const nqzUnit = "      SUBROUTINE NQZADD(N)\n      INTEGER N\n      N = 3\n     
 // procedure — a formal write, a COMMON write, a COMMON read, a call —
 // and then take it out again: in the last unit, in a middle unit that
 // keeps its line count, and in a middle unit that grows by a line, so
-// every later unit moves. Fresh caches then take structural edits: a
+// every later unit moves; then two at once, far apart, in the first
+// unit that keeps its line count and in the last, so every unit between
+// them is kept. Fresh caches then take structural edits: a
 // unit appended; a unit inserted in the middle with a caller; that unit
 // removed again with the call; and that unit removed while still
 // called, which no derivation may accept. Every program of the suite,
@@ -310,7 +329,7 @@ func TestCacheDerivedEdits(t *testing.T) {
 			})
 		}
 	}
-	for _, kind := range []string{"formal-write", "common-write", "common-read", "call", "shifted", "append", "insert", "remove", "remove-called"} {
+	for _, kind := range []string{"formal-write", "common-write", "common-read", "call", "shifted", "far-apart", "append", "insert", "remove", "remove-called"} {
 		if applied[kind] == 0 {
 			t.Errorf("no %s edit applied", kind)
 		}
@@ -356,7 +375,9 @@ func derivedEdits(t *testing.T, name, src string, cfg Config, applied map[string
 			held = append(held, i)
 		}
 	}
+	far := -1 // the first unit that can hold its line count
 	if len(held) > 0 {
+		far = held[0]
 		held = held[len(held)/2:][:1]
 	}
 	mid := len(chunks) / 2
@@ -386,6 +407,20 @@ func derivedEdits(t *testing.T, name, src string, cfg Config, applied map[string
 				kind = e.kind
 			}
 			applied[kind]++
+		}
+	}
+
+	// Two edits far apart, in the first unit that can hold its line
+	// count and in the last: every unit between them is kept.
+	if far >= 0 && far < last-1 {
+		a, b := effectStatements(prog, prog.Order[far]), effectStatements(prog, prog.Order[last])
+		if len(a) > 0 && len(b) > 0 {
+			if with, ok := insertLine(chunks[far].Text, "      "+a[0].stmt, true); ok {
+				units := texts(far, with)
+				units[last], _ = insertLine(chunks[last].Text, "      "+b[0].stmt, false)
+				check(cache, fmt.Sprintf("%s in %s and %s in %s", a[0].kind, prog.Order[far].Name, b[0].kind, prog.Order[last].Name), strings.Join(units, ""))
+				applied["far-apart"]++
+			}
 		}
 	}
 
@@ -449,11 +484,7 @@ func TestCacheConcurrentDerivation(t *testing.T) {
 	cfg := Config{Kind: Polynomial, UseMOD: true, UseReturnJFs: true}
 	variants := []string{src, src + nqzUnit}
 	for i := 1; i <= 4; i++ {
-		edited, ok := editSource(src, "= 10\n", fmt.Sprintf("= %d\n", 20+i))
-		if !ok {
-			t.Fatal("linpackd has no constant to edit")
-		}
-		variants = append(variants, edited)
+		variants = append(variants, editSource(t, src, "= 10\n", fmt.Sprintf("= %d\n", 20+i)))
 	}
 	want := make([]string, len(variants))
 	for i, v := range variants {
@@ -575,16 +606,14 @@ func TestCacheConcurrent(t *testing.T) {
 	src := suite.Source(spec)
 	cfg := Config{Kind: Polynomial, UseMOD: true, UseReturnJFs: true}
 
-	variant := func(i int) string {
-		if i%2 == 0 {
-			return src
+	variants := make([]string, 4)
+	want := make([]string, 4)
+	for i := range variants {
+		variants[i] = src
+		if i%2 == 1 {
+			variants[i] = editSource(t, src, "= 10\n", fmt.Sprintf("= %d\n", 20+i))
 		}
-		edited, _ := editSource(src, "= 4", fmt.Sprintf("= %d", 5+i))
-		return edited
-	}
-	want := make(map[int]string)
-	for i := 0; i < 4; i++ {
-		want[i] = analyzeAt(t, "c.f", variant(i), cfg, 2)
+		want[i] = analyzeAt(t, "c.f", variants[i], cfg, 2)
 	}
 
 	cache := NewCache(CacheOptions{})
@@ -599,7 +628,7 @@ func TestCacheConcurrent(t *testing.T) {
 				c := cfg
 				c.Parallelism = 2
 				c.Cache = cache
-				res, err := Analyze("c.f", variant(i), c)
+				res, err := Analyze("c.f", variants[i], c)
 				if err != nil {
 					errs <- fmt.Sprintf("goroutine %d iter %d: %v", g, iter, err)
 					return

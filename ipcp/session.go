@@ -31,7 +31,8 @@ type UnitEdit struct {
 
 // EditInfo reports what one Edit call did.
 type EditInfo struct {
-	// FastPath is true when every delta avoided a full re-analysis.
+	// FastPath is true when the edited program was derived from the
+	// resident one instead of re-analyzed from its text.
 	FastPath bool `json:"fast_path"`
 	// UnitsInvalidated is the blast-radius size (fast path) or the whole
 	// unit count (rebuild).

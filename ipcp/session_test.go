@@ -104,6 +104,37 @@ func TestSessionPublicAPI(t *testing.T) {
 	}
 }
 
+// emptyUnitSrc is a one-unit program with one substitutable use.
+const emptyUnitSrc = "PROGRAM MAIN\nINTEGER K\nK = 3\nPRINT *, K\nEND\n"
+
+// TestSessionEmptyUnitText replaces the only unit with an empty text.
+// The session must then agree with a cold analysis of the empty text,
+// which has no procedures, instead of analyzing the old unit.
+func TestSessionEmptyUnitText(t *testing.T) {
+	cfg := DefaultConfig()
+	s, err := OpenSession(context.Background(), "prog.f", emptyUnitSrc, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Edit(context.Background(), []UnitEdit{{Op: "replace", Index: 0, Text: ""}}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := Analyze("prog.f", "", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cold.Procedures()) != 0 {
+		t.Fatalf("a cold analysis of no text found procedures %v", cold.Procedures())
+	}
+	if got, want := resultKey(res), resultKey(cold); got != want || s.Source() != "" {
+		t.Fatalf("session result != cold result\ngot  %q\nwant %q", got, want)
+	}
+}
+
 // FuzzSessionDelta: any edit sequence applied to a session, followed by
 // analysis, must be byte-identical to a cold analysis of the final
 // text — including agreeing on whether the final text is analyzable at
@@ -143,6 +174,7 @@ func FuzzSessionDelta(f *testing.F) {
 	}
 	f.Add(sessionTestSrc, uint8(0), uint8(2), "SUBROUTINE LEAF(N, M)\nINTEGER N, M\nPRINT *, N - M\nEND\n\n", uint8(2), uint8(3), "")
 	f.Add(sessionTestSrc, uint8(0), uint8(0), "PROGRAM MAIN\nCALL TOP(1, 2)\nEND\n\n", uint8(0), uint8(2), "oops(")
+	f.Add(emptyUnitSrc, uint8(0), uint8(0), "", uint8(0), uint8(0), "")
 	f.Fuzz(func(t *testing.T, src string, op1, idx1 uint8, text1 string, op2, idx2 uint8, text2 string) {
 		cfg := DefaultConfig()
 		noInternal := func(err error) {
