@@ -338,8 +338,8 @@ func siteOf(err error) string {
 	return "analyze"
 }
 
-// attemptState is the shared state of one analysis attempt's pipeline:
-// the analysis under construction plus the round-loop variables the
+// attemptState is the shared state of one analysis attempt: the
+// analysis under construction plus the round-loop variables the
 // complete-propagation driver feeds back between phase executions.
 type attemptState struct {
 	a    *Analysis
@@ -355,26 +355,19 @@ type attemptState struct {
 	prev  *Values
 }
 
-// attemptPhases are the driver's passes. The round loop stays in
-// analyzeAttempt (dynamic control flow) and replays the jump and solve
-// phases through RunPhase, so every execution shares the middleware
-// stack and lands in the same trace.
-var (
-	phaseGraph = pipeline.Phase[*attemptState]{Name: "graph", Run: runGraph}
-	phaseJump  = pipeline.Phase[*attemptState]{Name: "jump", Run: runJump}
-	phaseSolve = pipeline.Phase[*attemptState]{Name: "solve", Run: runSolve}
-)
-
-// attemptPipeline wires the cross-cutting concerns every driver phase
-// needs: wall-time tracing, panic attribution, and a deadline pre-check
-// that names the phase (the same *guard.Exhausted the phases' own
-// inline checks produce).
-func attemptPipeline() *pipeline.Pipeline[*attemptState] {
-	return pipeline.New[*attemptState]().Use(
-		pipeline.Timed(func(s *attemptState) *pipeline.Trace { return s.cfg.Trace }),
-		pipeline.Attributed[*attemptState](),
-		pipeline.Guarded(func(s *attemptState) *guard.Checker { return s.chk }),
-	)
+// phase runs one execution of a driver phase (graph, jump or solve). It
+// times the execution into the trace, attributes a panic escaping it to
+// the phase, and pre-checks the deadline so a dead context surfaces as
+// the same *guard.Exhausted the phase's own inline checks produce.
+func (s *attemptState) phase(ctx context.Context, name string, run func(context.Context, *attemptState) error) error {
+	stop := s.cfg.Trace.Start(name)
+	defer guard.Repanic(name)
+	err := s.chk.Deadline(name)
+	if err == nil {
+		err = run(ctx, s)
+	}
+	stop()
+	return err
 }
 
 // runGraph builds (or fetches from the memo layer) the call graph and
@@ -466,8 +459,7 @@ func analyzeAttempt(ctx context.Context, prog *sem.Program, cfgg Config) (*Analy
 		a.builder.SetMaxSize(cfgg.Budget.MaxExprSize)
 	}
 	st := &attemptState{a: a, cfg: cfgg, prog: prog, chk: chk}
-	pl := attemptPipeline()
-	if err := pl.RunPhase(ctx, phaseGraph, st); err != nil {
+	if err := st.phase(ctx, "graph", runGraph); err != nil {
 		return nil, err
 	}
 
@@ -483,10 +475,10 @@ func analyzeAttempt(ctx context.Context, prog *sem.Program, cfgg Config) (*Analy
 	}
 
 	for st.round = 0; ; st.round++ {
-		if err := pl.RunPhase(ctx, phaseJump, st); err != nil {
+		if err := st.phase(ctx, "jump", runJump); err != nil {
 			return nil, err
 		}
-		if err := pl.RunPhase(ctx, phaseSolve, st); err != nil {
+		if err := st.phase(ctx, "solve", runSolve); err != nil {
 			return nil, err
 		}
 		a.Stats.Rounds = int(chk.AddRound())

@@ -1,3 +1,9 @@
+// Package pipeline holds the per-phase trace of one analysis. The
+// drivers — the public ipcp entry points, the core interprocedural
+// driver and the cloning loop — run their phases in a fixed order and
+// report each execution into a Trace: wall time and run count, units of
+// work, memo hits and degradation events. Result.PhaseStats, ipcp
+// -trace and the service's /statsz phase latencies all read it.
 package pipeline
 
 import (

@@ -138,3 +138,51 @@ func TestSessionDomainFacts(t *testing.T) {
 		t.Errorf("session S.N fact = %q, want [3,7]", got)
 	}
 }
+
+// condConstSrc is the paper's Table 3 shape: the else arm of S is dead
+// once N = 1 reaches it, which only the pruning rounds see.
+const condConstSrc = `PROGRAM MAIN
+INTEGER N
+N = 1
+CALL S(N)
+END
+SUBROUTINE S(K)
+INTEGER K, M
+IF (K .EQ. 1) THEN
+  M = 5
+ELSE
+  M = 6
+ENDIF
+CALL T(M)
+END
+SUBROUTINE T(J)
+INTEGER J
+PRINT *, J
+END
+`
+
+// TestCondConstLadderDropsPruning: the cond-const domain is the const
+// domain with complete propagation forced on, so the retry ladder's
+// first rung must drop the pruning rounds exactly as it drops
+// Config.Complete, whether or not the request also sets it. Under a
+// solver-step budget the pruning loop cannot meet, the degraded
+// response is byte-identical to the one for the same request in the
+// const domain with "complete": true.
+func TestCondConstLadderDropsPruning(t *testing.T) {
+	for steps := 2; steps <= 5; steps++ {
+		post := func(rc RequestConfig) (int, []byte) {
+			rc.MaxSolverSteps = steps
+			code, _, body := postAnalyze(t, newTestServer(Config{}), AnalyzeRequest{Source: condConstSrc, Config: rc})
+			return code, body
+		}
+		compCode, comp := post(RequestConfig{Complete: true})
+		if compCode != http.StatusOK {
+			t.Fatalf("steps %d: complete %d %s", steps, compCode, comp)
+		}
+		for _, rc := range []RequestConfig{{Domain: "cond-const"}, {Domain: "cond-const", Complete: true}} {
+			if code, body := post(rc); code != compCode || !bytes.Equal(body, comp) {
+				t.Errorf("steps %d, %s complete=%v: %d %s\nwant the complete response %s", steps, rc.Domain, rc.Complete, code, body, comp)
+			}
+		}
+	}
+}

@@ -53,7 +53,6 @@ import (
 	"repro/internal/backoff"
 	"repro/internal/domain"
 	"repro/internal/jobs"
-	"repro/internal/pipeline"
 	"repro/ipcp"
 )
 
@@ -218,9 +217,6 @@ type Server struct {
 	results  *resultCache    // nil when ResultCacheBytes < 0
 	jobs     *jobs.Manager   // nil when JobsDir is empty
 	sessions *sessionManager // nil when SessionLimit < 0
-	// reqPL runs the per-request analysis phase through the shared pass
-	// manager, with the retry/degrade ladder attached as middleware.
-	reqPL *pipeline.Pipeline[*reqState]
 
 	// test seams
 	sleep  func(ctx context.Context, d time.Duration)
@@ -290,7 +286,6 @@ func New(cfg Config) (*Server, error) {
 	s.stats.degByAxis = make(map[string]int64)
 	s.stats.panicsPhase = make(map[string]int64)
 	s.stats.phaseAgg = make(map[string]*PhaseLatency)
-	s.reqPL = pipeline.New[*reqState]().Use(s.retrying())
 	if cfg.JobsDir != "" {
 		m, err := jobs.New(jobs.Config{
 			Dir:          cfg.JobsDir,
@@ -748,10 +743,9 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
-	// The breaker has admitted the request; run the analysis phase
-	// through the pass manager, whose retrying middleware owns the
-	// ladder and writes the response.
-	_ = s.reqPL.RunPhase(ctx, phaseRequest, &reqState{w: w, req: &req, cfg: cfg, key: key, start: time.Now()})
+	// The breaker has admitted the request; the ladder owns it from here
+	// and writes the response.
+	s.analyze(ctx, w, &req, cfg, key)
 }
 
 // shedBackoff estimates how long a shed client should wait before the
@@ -796,97 +790,74 @@ func (s *Server) observeLatency(d time.Duration) {
 	}
 }
 
-// reqState is one request's pipeline state: the response writer the
-// ladder reports into, the (progressively degraded) configuration, and
-// the attempt's result.
-type reqState struct {
-	w       http.ResponseWriter
-	req     *AnalyzeRequest
-	cfg     ipcp.Config
-	key     string
-	start   time.Time
-	retries int
-	res     *ipcp.Result
-}
-
-// phaseRequest is one deadline-bounded analysis attempt.
-var phaseRequest = pipeline.Phase[*reqState]{
-	Name: "analyze",
-	Run: func(ctx context.Context, st *reqState) error {
-		res, err := ipcp.AnalyzeContext(ctx, st.req.Filename, st.req.Source, st.cfg)
-		if err != nil {
-			return err
+// analyze runs one admitted request's analysis under the retry/degrade
+// ladder: transient failures re-run it at a cheaper configuration after
+// a capped, jittered backoff; every outcome writes the response and
+// settles the breaker exactly once.
+func (s *Server) analyze(ctx context.Context, w http.ResponseWriter, req *AnalyzeRequest, cfg ipcp.Config, key string) {
+	start := time.Now()
+	retries := 0
+	for {
+		res, err := ipcp.AnalyzeContext(ctx, req.Filename, req.Source, cfg)
+		if err == nil {
+			s.breaker.Success()
+			s.observeLatency(time.Since(start))
+			s.writeResult(w, req, cfg, res, retries, key)
+			return
 		}
-		st.res = res
-		return nil
-	},
-}
-
-// retrying is the service's retry/degrade ladder as pipeline middleware
-// around the analysis attempt: transient failures re-run the phase at a
-// cheaper configuration after a capped, jittered backoff; every outcome
-// writes the response and settles the breaker exactly once.
-func (s *Server) retrying() pipeline.Middleware[*reqState] {
-	return func(phase string, next pipeline.RunFunc[*reqState]) pipeline.RunFunc[*reqState] {
-		return func(ctx context.Context, st *reqState) error {
-			for {
-				err := next(ctx, st)
-				if err == nil {
-					s.breaker.Success()
-					s.observeLatency(time.Since(st.start))
-					s.writeResult(st.w, st.req, st.cfg, st.res, st.retries, st.key)
-					return nil
-				}
-				class, retryable, userFault := classify(err)
-				if userFault {
-					s.breaker.Neutral()
-					s.stats.inputErrors.Add(1)
-					s.writeError(st.w, http.StatusUnprocessableEntity, "input", err.Error())
-					return nil
-				}
-				if errors.Is(err, context.Canceled) {
-					// The client went away, not the analyzer: no breaker verdict.
-					s.breaker.Neutral()
-					s.stats.abandoned.Add(1)
-					s.writeError(st.w, http.StatusServiceUnavailable, "canceled", "request canceled")
-					return nil
-				}
-				s.recordFailureClass(err)
-				if !retryable || st.retries >= s.cfg.MaxRetries || ctx.Err() != nil {
-					// The breaker's verdict doubles as the back-off hint: the
-					// closer the circuit is to (or into) its cooldown, the
-					// longer the client is told to stay away.
-					backoff := s.breaker.Failure(class)
-					if class == "exhausted:deadline" {
-						s.stats.deadline.Add(1)
-					} else {
-						s.stats.internal.Add(1)
-					}
-					st.w.Header().Set("Retry-After", retryAfter(backoff))
-					s.writeError(st.w, http.StatusServiceUnavailable, class, err.Error())
-					return nil
-				}
-				if st.retries == 0 {
-					s.stats.retriedReqs.Add(1)
-				}
-				st.retries++
-				s.stats.retriesTotal.Add(1)
-				// Re-run cheaper: one step down the sound degradation chain per
-				// retry (staying at Literal once there), after a capped, jittered
-				// exponential backoff.
-				st.cfg = degradeConfig(st.cfg)
-				s.sleep(ctx, backoff.Delay(st.retries, s.cfg.RetryBaseDelay, s.cfg.RetryMaxDelay, s.jitter))
+		class, retryable, userFault := classify(err)
+		if userFault {
+			s.breaker.Neutral()
+			s.stats.inputErrors.Add(1)
+			s.writeError(w, http.StatusUnprocessableEntity, "input", err.Error())
+			return
+		}
+		if errors.Is(err, context.Canceled) {
+			// The client went away, not the analyzer: no breaker verdict.
+			s.breaker.Neutral()
+			s.stats.abandoned.Add(1)
+			s.writeError(w, http.StatusServiceUnavailable, "canceled", "request canceled")
+			return
+		}
+		s.recordFailureClass(err)
+		if !retryable || retries >= s.cfg.MaxRetries || ctx.Err() != nil {
+			// The breaker's verdict doubles as the back-off hint: the
+			// closer the circuit is to (or into) its cooldown, the
+			// longer the client is told to stay away.
+			backoff := s.breaker.Failure(class)
+			if class == "exhausted:deadline" {
+				s.stats.deadline.Add(1)
+			} else {
+				s.stats.internal.Add(1)
 			}
+			w.Header().Set("Retry-After", retryAfter(backoff))
+			s.writeError(w, http.StatusServiceUnavailable, class, err.Error())
+			return
 		}
+		if retries == 0 {
+			s.stats.retriedReqs.Add(1)
+		}
+		retries++
+		s.stats.retriesTotal.Add(1)
+		// Re-run cheaper: one step down the sound degradation chain per
+		// retry (staying at Literal once there), after a capped, jittered
+		// exponential backoff.
+		cfg = degradeConfig(cfg)
+		s.sleep(ctx, backoff.Delay(retries, s.cfg.RetryBaseDelay, s.cfg.RetryMaxDelay, s.jitter))
 	}
 }
 
 // degradeConfig steps one rung down the sound fallback chain (the same
 // chain the in-library degradation uses): complete off, gated off, then
 // Polynomial → PassThrough → Intraprocedural → Literal. At Literal it
-// returns the config unchanged — a pure backoff retry.
+// returns the config unchanged — a pure backoff retry. A pruning domain
+// (cond-const) runs complete propagation whatever Complete says, so its
+// complete rung switches to the constant domain, the same analysis
+// without pruning, as the in-library chain does.
 func degradeConfig(c ipcp.Config) ipcp.Config {
 	switch {
+	case prunes(c.Domain):
+		c.Domain, c.Complete = "const", false
 	case c.Complete:
 		c.Complete = false
 	case c.Gated:
@@ -895,6 +866,13 @@ func degradeConfig(c ipcp.Config) ipcp.Config {
 		c.Kind--
 	}
 	return c
+}
+
+// prunes reports whether the named domain runs the branch-pruning
+// complete-propagation loop.
+func prunes(name string) bool {
+	d, err := domain.Lookup(name)
+	return err == nil && d.Prunes()
 }
 
 // classify sorts an analysis error into a breaker class and retry

@@ -515,20 +515,17 @@ func analyzeWithCloning(ctx context.Context, filename, src string, cfg Config, m
 		if round >= maxRounds {
 			return cloneFinish(res, tr), info, nil
 		}
-		cs := &cloneState{trace: tr, analysis: res.analysis, file: res.file}
-		if err := clonePipeline.RunPhase(ctx, clonePhase, cs); err != nil {
-			return nil, nil, err
-		}
-		if cs.report.Created == 0 {
+		next, report := cloneRound(tr, res)
+		if report.Created == 0 {
 			return cloneFinish(res, tr), info, nil
 		}
 		info.Rounds++
-		info.Created += cs.report.Created
-		for _, d := range cs.report.Decisions {
+		info.Created += report.Created
+		for _, d := range report.Decisions {
 			info.Cloned = append(info.Cloned, fmt.Sprintf("%s → %s", d.Proc, strings.Join(d.Clones, ", ")))
 		}
-		info.Source = cs.next
-		cur = cs.next
+		info.Source = next
+		cur = next
 	}
 }
 

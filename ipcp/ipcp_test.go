@@ -198,6 +198,17 @@ END
 	if len(ks) != 1 || ks[0].Value != 5 {
 		t.Errorf("complete propagation: CONSTANTS(T) = %v", ks)
 	}
+	// Each round re-runs jump and solve, and the trace counts every run.
+	_, _, rounds := res.Stats()
+	if rounds != 3 {
+		t.Errorf("rounds = %d, want 3", rounds)
+	}
+	m := statsByPhase(res)
+	for _, ph := range []string{"jump", "solve"} {
+		if got := m[ph].Runs; got != int64(rounds) {
+			t.Errorf("%s runs = %d, want one per round (%d)", ph, got, rounds)
+		}
+	}
 }
 
 func TestKindStrings(t *testing.T) {

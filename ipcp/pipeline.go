@@ -7,6 +7,7 @@ import (
 	"repro/internal/ast"
 	"repro/internal/clone"
 	"repro/internal/core"
+	"repro/internal/guard"
 	"repro/internal/memo"
 	"repro/internal/parser"
 	"repro/internal/pipeline"
@@ -76,64 +77,49 @@ type pipeState struct {
 	out      *Result
 }
 
-// analyzeTimed records phase wall time into the state's trace. The
-// analyze phase deliberately omits it: the core driver times its own
-// graph/jump/solve phases into the same trace, and timing the wrapper
-// too would double-count the driver's time.
-var analyzeTimed = pipeline.Timed(func(s *pipeState) *pipeline.Trace { return s.trace })
-
-// The public API's phases. Parse and sem are skipped when the
-// incremental cache supplied a front-end world (reused or built by the
-// cache's own content-addressed front end).
-var (
-	phaseLookup = pipeline.Phase[*pipeState]{
-		Name: "lookup",
-		Skip: func(s *pipeState) bool { return s.cfg.Cache == nil },
-		Run:  runLookup,
-	}.With(analyzeTimed)
-	phaseParse = pipeline.Phase[*pipeState]{
-		Name: "parse",
-		Skip: func(s *pipeState) bool { return s.hasWorld },
-		Run:  runParse,
-	}.With(analyzeTimed)
-	phaseSem = pipeline.Phase[*pipeState]{
-		Name: "sem",
-		Skip: func(s *pipeState) bool { return s.hasWorld },
-		Run:  runSem,
-	}.With(analyzeTimed)
-	phaseAnalyze = pipeline.Phase[*pipeState]{
-		Name: "analyze",
-		Run:  runAnalyze,
-	}
-	phaseSubst = pipeline.Phase[*pipeState]{
-		Name: "subst",
-		Run:  runSubst,
-	}.With(analyzeTimed)
-	phaseAssemble = pipeline.Phase[*pipeState]{
-		Name: "assemble",
-		Run:  runAssemble,
-	}.With(analyzeTimed)
-)
-
-// analyzePipeline is the one definition of the public API's phase
-// order; AnalyzeContext, AnalyzeFilesContext, and (per round)
-// AnalyzeWithCloningContext all run it.
-var analyzePipeline = pipeline.New(
-	phaseLookup, phaseParse, phaseSem, phaseAnalyze, phaseSubst, phaseAssemble,
-).Use(pipeline.Attributed[*pipeState]())
-
-// runAnalysis drives one analysis through the pipeline and stamps the
-// result with the trace. The caller holds the recoverInternal barrier.
+// runAnalysis runs one analysis's phases in order and stamps the result
+// with the trace: lookup when a cache is attached, parse and sem unless
+// the cache supplied a front-end world, then analyze, subst and
+// assemble. The caller holds the recoverInternal barrier.
 func runAnalysis(ctx context.Context, files []SourceFile, multi bool, cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	st := &pipeState{cfg: cfg, files: files, multi: multi, trace: pipeline.NewTrace()}
-	if err := analyzePipeline.Run(ctx, st); err != nil {
+	if cfg.Cache != nil {
+		if err := st.timed(ctx, "lookup", runLookup); err != nil {
+			return nil, err
+		}
+	}
+	if !st.hasWorld {
+		if err := st.timed(ctx, "parse", runParse); err != nil {
+			return nil, err
+		}
+		if err := st.timed(ctx, "sem", runSem); err != nil {
+			return nil, err
+		}
+	}
+	if err := runAnalyze(ctx, st); err != nil {
+		return nil, err
+	}
+	if err := st.timed(ctx, "subst", runSubst); err != nil {
+		return nil, err
+	}
+	if err := st.timed(ctx, "assemble", runAssemble); err != nil {
 		return nil, err
 	}
 	st.out.PhaseStats = convertPhaseStats(st.trace)
 	return st.out, nil
+}
+
+// timed runs one phase, timing it into the trace and attributing a
+// panic escaping it to the phase.
+func (s *pipeState) timed(ctx context.Context, phase string, run func(context.Context, *pipeState) error) error {
+	defer guard.Repanic(phase)
+	stop := s.trace.Start(phase)
+	err := run(ctx, s)
+	stop()
+	return err
 }
 
 // runLookup asks the incremental cache for a front-end world, which
@@ -199,8 +185,11 @@ func runSem(ctx context.Context, s *pipeState) error {
 
 // runAnalyze hands the checked program to the core interprocedural
 // driver, threading the trace and (when a world is cached) the memo
-// hooks through its configuration.
+// hooks through its configuration. It is not timed: the core driver
+// times its own graph, jump and solve phases into the same trace, and
+// timing this wrapper too would double-count them.
 func runAnalyze(ctx context.Context, s *pipeState) error {
+	defer guard.Repanic("analyze")
 	ic := s.cfg.internal()
 	ic.Trace = s.trace
 	prog := s.prog
@@ -243,27 +232,15 @@ func runAssemble(ctx context.Context, s *pipeState) error {
 	return nil
 }
 
-// ---------------------------------------------------------------------
-// Cloning driver
-
-// cloneState carries one clone-and-reanalyze round's inputs and
-// outputs; its trace persists across rounds so clone time accumulates.
-type cloneState struct {
-	trace    *pipeline.Trace
-	analysis *core.Analysis
-	file     *ast.File
-
-	next   string
-	report *clone.Report
-}
-
-var clonePhase = pipeline.Phase[*cloneState]{Name: "clone", Run: runClone}.
-	With(pipeline.Timed(func(s *cloneState) *pipeline.Trace { return s.trace }))
-
-var clonePipeline = pipeline.New[*cloneState]().Use(pipeline.Attributed[*cloneState]())
-
-func runClone(ctx context.Context, s *cloneState) error {
-	s.next, s.report = clone.Apply(s.analysis, s.file, clone.Options{})
-	s.trace.AddUnits("clone", s.report.Created)
-	return nil
+// cloneRound runs one round's clone transformation over the round's
+// analysis, timing it into the cloning driver's trace (which persists
+// across rounds, so clone time accumulates) and attributing a panic
+// escaping it to the clone phase.
+func cloneRound(tr *pipeline.Trace, res *Result) (next string, report *clone.Report) {
+	defer guard.Repanic("clone")
+	stop := tr.Start("clone")
+	next, report = clone.Apply(res.analysis, res.file, clone.Options{})
+	tr.AddUnits("clone", report.Created)
+	stop()
+	return next, report
 }

@@ -11,7 +11,10 @@ import (
 	"repro/internal/guard"
 )
 
-// Phase names the pipeline stage where an internal fault occurred.
+// Phase names the analysis phase where an internal fault occurred: lex,
+// parse, sem, lookup, graph, jump, solve, subst, assemble or clone (the
+// lexer and the phases a trace names), or analyze when no phase claimed
+// the fault.
 type Phase string
 
 const (

@@ -1,6 +1,7 @@
 package ipcp
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -144,6 +145,39 @@ func TestPhaseStatsMemo(t *testing.T) {
 		for _, ph := range []string{"graph", "solve", "assemble"} {
 			if _, ok := run.m[ph]; !ok {
 				t.Errorf("%s run missing %s stat", run.name, ph)
+			}
+		}
+	}
+}
+
+// TestPhaseStatsExpiredContext: under a dead context every attempt of
+// the degradation chain stops at the graph phase's deadline pre-check,
+// so graph runs once per attempt, each run is booked as one degradation
+// there, and jump and solve never run.
+func TestPhaseStatsExpiredContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	full := DefaultConfig()
+	full.Kind, full.Gated, full.Complete = Polynomial, true, true
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		want int
+	}{{"default", DefaultConfig(), 3}, {"polynomial+gated+complete", full, 6}} {
+		res, err := AnalyzeContext(ctx, "robust.f", robustSrc, c.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if len(res.Degradations) != c.want {
+			t.Errorf("%s: %d degradations, want %d: %v", c.name, len(res.Degradations), c.want, res.Degradations)
+		}
+		m := statsByPhase(res)
+		if g := m["graph"]; g.Runs != int64(len(res.Degradations)) || g.Degradations != g.Runs {
+			t.Errorf("%s: graph stat = %+v, want runs = degradations = %d", c.name, g, len(res.Degradations))
+		}
+		for _, ph := range []string{"jump", "solve"} {
+			if s, ok := m[ph]; ok {
+				t.Errorf("%s: %s ran past a dead context: %+v", c.name, ph, s)
 			}
 		}
 	}

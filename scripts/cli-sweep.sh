@@ -49,6 +49,9 @@ variants=(
 	'-solver binding -maxexpr 4'
 	'-fullsubst'
 	'-complete -gated'
+	'-clone'
+	'-clone -domain interval'
+	'-complete -maxsteps 40'
 )
 
 # run SIDE ARGS... leaves SIDE's stdout, stderr and exit code in $work/out.
