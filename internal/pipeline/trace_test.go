@@ -41,6 +41,30 @@ func TestTraceAccounting(t *testing.T) {
 	}
 }
 
+// TestRunPhaseDynamicLoop runs phases a number of times only known at
+// run time, as the complete-propagation rounds run jump and solve once
+// per round: each phase keeps one stat, in first-observation order,
+// whose Runs counts the rounds.
+func TestRunPhaseDynamicLoop(t *testing.T) {
+	tr := NewTrace()
+	rounds := 0
+	for changed := true; changed; {
+		rounds++
+		tr.Start("jump")()
+		tr.Start("solve")()
+		changed = rounds < 4
+	}
+	stats := tr.Snapshot()
+	if len(stats) != 2 || stats[0].Phase != "jump" || stats[1].Phase != "solve" {
+		t.Fatalf("stats = %+v, want [jump solve]", stats)
+	}
+	for _, s := range stats {
+		if s.Runs != 4 {
+			t.Fatalf("%s runs = %d, want 4", s.Phase, s.Runs)
+		}
+	}
+}
+
 func TestTraceNilSafe(t *testing.T) {
 	var tr *Trace
 	tr.Start("x")()
