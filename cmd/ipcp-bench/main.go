@@ -560,6 +560,12 @@ func memoExhibits() ([]Exhibit, error) {
 // generated program (gen seed 1986). Spec77's edit re-analyzes a small
 // program; here the edit is as small, and what an iteration costs
 // beyond it is the work a fast edit still does over the whole program.
+// The leaf's return jump functions do not change, so the cutoff keeps
+// every caller's jump functions.
+//
+// session/edit-gen256-summary tweaks a called leaf's constant that its
+// return jump functions carry: every edit changes what the leaf's
+// callers see, so the cutoff rebuilds at least one caller.
 func sessionExhibits() ([]Exhibit, error) {
 	spec, ok := suite.ByName("spec77")
 	if !ok {
@@ -650,11 +656,17 @@ func sessionExhibits() ([]Exhibit, error) {
 		out = append(out, benchOps(bx.name, int64(b.Len()), bx.edit))
 	}
 
-	leafEdit, genLen, err := genLeafEdit(ctx, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("session/edit-gen256-leaf: %w", err)
+	for _, x := range []struct {
+		name  string
+		climb bool
+	}{{"session/edit-gen256-leaf", false}, {"session/edit-gen256-summary", true}} {
+		edit, genLen, err := genLeafEdit(ctx, cfg, x.climb)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", x.name, err)
+		}
+		out = append(out, benchOps(x.name, genLen, edit))
 	}
-	return append(out, benchOps("session/edit-gen256-leaf", genLen, leafEdit)), nil
+	return out, nil
 }
 
 // fastEdit applies one delta to s and fails unless the session derived
@@ -674,8 +686,10 @@ var localInit = regexp.MustCompile(`(?m)^(\s+L\d+ = )(\(-\d+\)|\d+)$`)
 // genLeafEdit opens a session on the 256-procedure generated program
 // and returns an edit that sets one local initialization of its first
 // called leaf procedure to a new small value, failing if the edit
-// leaves the fast path; size is the program's length in bytes.
-func genLeafEdit(ctx context.Context, cfg ipcp.Config) (edit func() error, size int64, err error) {
+// leaves the fast path; size is the program's length in bytes. With
+// climb, the leaf is the first whose tweak rebuilds a caller's jump
+// functions too, and so must every edit; without, no edit may.
+func genLeafEdit(ctx context.Context, cfg ipcp.Config, climb bool) (edit func() error, size int64, err error) {
 	src := gen.Program(gen.Config{Seed: 1986, NumProcs: 256})
 	chunks, ok := memo.Split("gen256.f", src)
 	if !ok {
@@ -689,33 +703,41 @@ func genLeafEdit(ctx context.Context, cfg ipcp.Config) (edit func() error, size 
 	if len(chunks) != len(prog.Order) {
 		return nil, 0, fmt.Errorf("%d units for %d procedures", len(chunks), len(prog.Order))
 	}
-	leaf := -1
-	for _, n := range callgraph.Build(prog).Order {
-		if len(n.Out) == 0 && len(n.In) > 0 && localInit.MatchString(chunks[n.Index].Text) {
-			leaf = n.Index
-			break
-		}
-	}
-	if leaf < 0 {
-		return nil, 0, fmt.Errorf("no called leaf with a local initialization")
-	}
 	s, err := ipcp.OpenSession(ctx, "gen256.f", src, cfg)
 	if err != nil {
 		return nil, 0, err
 	}
-	text := chunks[leaf].Text
-	loc := localInit.FindStringSubmatchIndex(text)
-	seq := 0
-	edit = func() error {
-		seq++
-		tweaked := text[:loc[4]] + strconv.Itoa(seq%7+1) + text[loc[5]:]
-		_, err := fastEdit(ctx, s, ipcp.UnitEdit{Op: "replace", Index: leaf, Text: tweaked})
-		return err
+	for _, n := range callgraph.Build(prog).Order {
+		if len(n.Out) > 0 || len(n.In) == 0 || !localInit.MatchString(chunks[n.Index].Text) {
+			continue
+		}
+		leaf, text := n.Index, chunks[n.Index].Text
+		loc := localInit.FindStringSubmatchIndex(text)
+		seq := 0
+		edit = func() error {
+			seq++
+			tweaked := text[:loc[4]] + strconv.Itoa(seq%7+1) + text[loc[5]:]
+			info, err := fastEdit(ctx, s, ipcp.UnitEdit{Op: "replace", Index: leaf, Text: tweaked})
+			if err == nil && (info.JumpReused < info.Units-1) != climb {
+				err = fmt.Errorf("edit of unit %d rebuilt %d units, climb %t", leaf, info.Units-info.JumpReused, climb)
+			}
+			return err
+		}
+		// The values cycle with period 7: eight edits take every step
+		// the exhibit's loop will take.
+		ok := true
+		for range 8 {
+			ok = ok && edit() == nil
+		}
+		if ok {
+			return edit, int64(len(src)), nil
+		}
+		// Restore the leaf before trying the next one.
+		if _, err := fastEdit(ctx, s, ipcp.UnitEdit{Op: "replace", Index: leaf, Text: text}); err != nil {
+			return nil, 0, err
+		}
 	}
-	if err := edit(); err != nil {
-		return nil, 0, err
-	}
-	return edit, int64(len(src)), nil
+	return nil, 0, fmt.Errorf("no called leaf with a local initialization whose tweak climbs=%t", climb)
 }
 
 // solverExhibits measures the §4 solver ablation: propagation re-run

@@ -20,6 +20,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -116,7 +117,8 @@ type Config struct {
 }
 
 // MemoHooks is the driver-side interface of an incremental-analysis
-// cache. All methods must be safe for concurrent use.
+// cache. One value serves one analysis, whose attempts run one after
+// another.
 type MemoHooks interface {
 	// Graph returns the memoized call graph and MOD summaries for the
 	// program under analysis.
@@ -130,12 +132,20 @@ type MemoHooks interface {
 	// StoreFuncs offers a fresh, successful round-0 build back to the
 	// cache. trunc is the builder's truncation count after the build.
 	StoreFuncs(c Config, fns *jump.Functions, trunc int)
-	// Subst consults the cache before a substitution pass. Either res is
-	// non-nil (a whole-pass hit), or memo is a per-procedure cache to
-	// thread through subst.Run (nil when nothing is cached).
-	Subst(c Config, opts subst.Options) (res *subst.Result, memo subst.Memo)
+	// Solution returns an earlier round-0 solve that holds for the jump
+	// functions Funcs or StoreFuncs last saw and the initial environment
+	// init: its VAL sets, over the program under analysis, and the
+	// solver statistics it produced. ok is false when there is none.
+	Solution(c Config, init map[*sem.GlobalVar]lattice.Value) (vals *Values, st Stats, ok bool)
+	// StoreSolution offers a fresh round-0 solve back to the cache.
+	StoreSolution(c Config, init map[*sem.GlobalVar]lattice.Value, vals *Values, st Stats)
+	// Subst consults the cache before a substitution pass over the
+	// solution vals. Either res is non-nil (a whole-pass hit), or memo
+	// is a per-procedure cache to thread through subst.Run (nil when
+	// nothing is cached).
+	Subst(c Config, opts subst.Options, vals *Values) (res *subst.Result, memo subst.Memo)
 	// StoreSubst offers a fresh substitution result back to the cache.
-	StoreSubst(c Config, opts subst.Options, res *subst.Result)
+	StoreSubst(c Config, opts subst.Options, vals *Values, res *subst.Result)
 }
 
 // DefaultConfig is pass-through + MOD + return jump functions — the
@@ -432,15 +442,41 @@ func runJump(ctx context.Context, s *attemptState) error {
 }
 
 // runSolve propagates VAL sets around the call graph with the
-// configured solver.
+// configured solver. Where the memo layer serves the round-0 jump
+// functions, it may also hold a solve of the same forward jump
+// functions from the same DATA initializations: the solution is then
+// carried over, with its statistics and its step count, instead of
+// solved again. A solve the step budget might have stopped is solved
+// again, so the budget stops it where it would.
 func runSolve(ctx context.Context, s *attemptState) error {
-	before := s.a.Stats.JFEvaluations
+	before := s.a.Stats
+	h := s.cfg.Hooks
+	memo := h != nil && !s.cfg.Complete && s.round == 0
+	if memo {
+		vals, st, ok := h.Solution(s.cfg, s.init)
+		if limit := s.cfg.Budget.MaxSolverSteps; ok && (limit <= 0 || st.JFEvaluations <= limit) {
+			if err := guard.Inject("solve"); err != nil {
+				return err
+			}
+			s.chk.Add(st.JFEvaluations)
+			s.a.Vals = vals
+			s.a.Stats.JFEvaluations += st.JFEvaluations
+			s.a.Stats.Lowerings += st.Lowerings
+			s.cfg.Trace.MemoHit("solve")
+			s.cfg.Trace.AddUnits("solve", st.JFEvaluations)
+			return nil
+		}
+	}
 	vals, err := s.a.solve(s.init, s.chk)
 	if err != nil {
 		return err
 	}
 	s.a.Vals = vals
-	s.cfg.Trace.AddUnits("solve", s.a.Stats.JFEvaluations-before)
+	evals := s.a.Stats.JFEvaluations - before.JFEvaluations
+	s.cfg.Trace.AddUnits("solve", evals)
+	if memo {
+		h.StoreSolution(s.cfg, s.init, vals, Stats{JFEvaluations: evals, Lowerings: s.a.Stats.Lowerings - before.Lowerings})
+	}
 	return nil
 }
 
@@ -600,8 +636,8 @@ func (a *Analysis) RunSolver(kind SolverKind) (*Values, int, error) {
 
 func (a *Analysis) countDeadInstrs() int {
 	var results []*dce.Result
-	for _, pf := range a.Funcs.Procs {
-		results = append(results, dce.Analyze(pf.Intra.F, pf.Intra))
+	for _, r := range a.Funcs.Intra {
+		results = append(results, dce.Analyze(r.F, r))
 	}
 	return dce.TotalDeadInstrs(results)
 }
@@ -685,7 +721,7 @@ func (a *Analysis) AllConstants() map[*sem.Procedure][]Constant {
 func (a *Analysis) Substitute() *subst.Result {
 	opts := a.substOptions()
 	if h := a.Config.Hooks; h != nil {
-		res, pm := h.Subst(a.Config, opts)
+		res, pm := h.Subst(a.Config, opts, a.Vals)
 		if res != nil {
 			a.Config.Trace.MemoHit("subst")
 			return res
@@ -693,7 +729,7 @@ func (a *Analysis) Substitute() *subst.Result {
 		if pm != nil {
 			opts.Memo = pm
 			res = subst.Run(a.Graph, a.Mod, a.forms, opts)
-			h.StoreSubst(a.Config, opts, res)
+			h.StoreSubst(a.Config, opts, a.Vals, res)
 			return res
 		}
 	}
@@ -713,8 +749,8 @@ func (a *Analysis) substOptions() subst.Options {
 		Prune:            a.Config.Complete,
 		Entry:            a.Vals.EntryEnv,
 		Intra: func(p *sem.Procedure) *intra.Result {
-			if pf := a.Funcs.Procs[p]; pf != nil {
-				return pf.Intra
+			if i := a.Prog.ProcIndex(p); i >= 0 && i < len(a.Funcs.Intra) {
+				return a.Funcs.Intra[i]
 			}
 			return nil
 		},
@@ -734,7 +770,7 @@ func (a *Analysis) TransformedSource(f *ast.File) string {
 // counting and rendering).
 func RenderSubstituted(f *ast.File, res *subst.Result) string {
 	var b strings.Builder
-	_ = ast.WriteFileSubst(&b, f, res.Replacements)
+	_ = ast.WriteFileSubst(&b, f, res.Replacements())
 	return b.String()
 }
 
@@ -997,6 +1033,40 @@ func (v *Values) Equal(o *Values) bool {
 		}
 	}
 	return true
+}
+
+// Program returns the program the solution is over.
+func (v *Values) Program() *sem.Program { return v.prog }
+
+// For returns the solution over prog, a program the replace step
+// derived from v's that lists procedures of the same names, in the same
+// order, over the same globals; ok is false for any other program. The
+// two share their storage, which no one lowers after a solve.
+func (v *Values) For(prog *sem.Program) (w *Values, ok bool) {
+	if v.prog == prog {
+		return v, true
+	}
+	if len(prog.Order) != len(v.prog.Order) || !slices.Equal(prog.Globals(), v.prog.Globals()) {
+		return nil, false
+	}
+	for i, p := range prog.Order {
+		if q := v.prog.Order[i]; p.Name != q.Name || len(p.Formals) != len(q.Formals) {
+			return nil, false
+		}
+	}
+	c := *v
+	c.prog = prog
+	return &c, true
+}
+
+// SameRow reports whether VAL(p) is the same in v and in o, a solution
+// over a program that also has p.
+func (v *Values) SameRow(o *Values, p *sem.Procedure) bool {
+	pi, qi := v.prog.ProcIndex(p), o.prog.ProcIndex(p)
+	if pi < 0 || qi < 0 || v.nGlob != o.nGlob {
+		return false
+	}
+	return slices.Equal(v.formalRow(pi), o.formalRow(qi)) && slices.Equal(v.globalRow(pi), o.globalRow(qi))
 }
 
 // EntryEnv adapts VAL(p) to the intra engine's entry environment: only

@@ -511,7 +511,7 @@ END
 			t.Errorf("par %d: %d SSA forms built over %d rounds and subst, want %d", par, got, a.Stats.Rounds, want)
 		}
 		for i, n := range a.Graph.Order {
-			if a.Funcs.Procs[n.Proc].Intra.F != a.forms.Func(i) {
+			if a.Funcs.Intra[n.Index].F != a.forms.Func(i) {
 				t.Errorf("par %d: %s's jump functions were built over another SSA form", par, n.Proc.Name)
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -198,19 +199,20 @@ func diffSubst(t *testing.T, where string, got, want *subst.Result) {
 	if got.Total != want.Total {
 		t.Errorf("%s: total %d, re-analysis %d", where, got.Total, want.Total)
 	}
-	if len(got.PerProc) != len(want.PerProc) {
-		t.Errorf("%s: %d per-procedure counts, re-analysis %d", where, len(got.PerProc), len(want.PerProc))
+	if !slices.Equal(got.Procs, want.Procs) {
+		t.Errorf("%s: %d procedures counted, re-analysis %d", where, len(got.Procs), len(want.Procs))
 	}
-	for p, n := range want.PerProc {
-		if got.PerProc[p] != n {
-			t.Errorf("%s: %s counts %d, re-analysis %d", where, p.Name, got.PerProc[p], n)
+	for i, d := range want.Decisions {
+		if i < len(got.Decisions) && got.Decisions[i].Count != d.Count {
+			t.Errorf("%s: %s counts %d, re-analysis %d", where, want.Procs[i].Name, got.Decisions[i].Count, d.Count)
 		}
 	}
-	if len(got.Replacements) != len(want.Replacements) {
-		t.Errorf("%s: %d replacements, re-analysis %d", where, len(got.Replacements), len(want.Replacements))
+	gotRepl, wantRepl := got.Replacements(), want.Replacements()
+	if len(gotRepl) != len(wantRepl) {
+		t.Errorf("%s: %d replacements, re-analysis %d", where, len(gotRepl), len(wantRepl))
 	}
-	for e, txt := range want.Replacements {
-		if g, ok := got.Replacements[e]; !ok || g != txt {
+	for e, txt := range wantRepl {
+		if g, ok := gotRepl[e]; !ok || g != txt {
 			t.Errorf("%s: use at %v replaced by %q, re-analysis %q", where, e.Pos(), g, txt)
 		}
 	}

@@ -31,6 +31,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -95,13 +97,9 @@ type Config struct {
 	// Build with that error so the driver can degrade the configuration.
 	Check func() error
 	// Memo, when non-nil, memoizes per-procedure build products across
-	// Build calls: a Lookup hit supplies a procedure's return summary
-	// and site functions (already expressed in this build's builder),
-	// skipping its SSA/value-numbering analysis; freshly built products
-	// are offered back via Store. Lookup is called concurrently and must
-	// be read-only; Store must be safe for concurrent use. A non-nil
-	// Memo forces per-procedure expression builders even serially, so
-	// truncation counts stay attributable per procedure.
+	// Build calls (see Memo). A non-nil Memo forces per-procedure
+	// expression builders even serially, so truncation counts stay
+	// attributable per procedure.
 	Memo Memo
 	// Parallelism bounds the worker goroutines that analyze procedures
 	// concurrently: <= 0 selects one worker per CPU (GOMAXPROCS), 1 runs
@@ -130,12 +128,10 @@ type SiteFunctions struct {
 	Dead bool
 }
 
-// ProcFunctions bundles everything computed for one procedure. Intra
-// (nil for a memoized procedure) is its value numbering; Intra.F is
-// its SSA form.
+// ProcFunctions holds one procedure's forward jump functions. It is
+// immutable once built, so builds of edited programs share it.
 type ProcFunctions struct {
 	Proc  *sem.Procedure
-	Intra *intra.Result
 	Sites []*SiteFunctions
 }
 
@@ -150,31 +146,128 @@ type Functions struct {
 	Returns map[*sem.Procedure]*intra.ReturnSummary
 	// Procs maps each procedure to its forward jump functions.
 	Procs map[*sem.Procedure]*ProcFunctions
+	// Intra holds, indexed like Graph.Order, the value numbering of each
+	// procedure this build analyzed (Intra[i].F is its SSA form); nil
+	// for a procedure whose product the build reused.
+	Intra []*intra.Result
 }
 
 // EntryEnv provides known constant entry values per procedure for
 // rebuild rounds of complete propagation; nil means no knowledge.
 type EntryEnv func(p *sem.Procedure) map[ssa.Var]int64
 
-// Memo caches per-procedure build products across Build calls. See
-// Config.Memo.
+// Memo caches per-procedure build products across Build calls, for
+// builds of one program and of programs the replace step derived from
+// it. Build calls Lookup once per procedure before analyzing any and,
+// once every procedure is done, Store for each procedure it analyzed
+// and Reuse for each whose product it kept, serially in Graph order;
+// an aborted build calls neither. A procedure is analyzed when it has
+// no product, when its product's Reuse is Never, or when it is
+// IfCalleesKept and a callee this build analyzed changed what callers
+// see: its return jump functions (compared with symbolic.StructCompare)
+// or, as ProcMemo.ModChanged records, its closed MOD/GMOD sets.
 type Memo interface {
 	Lookup(p *sem.Procedure) *ProcMemo
+	// Store offers the product of a procedure this build analyzed.
 	Store(p *sem.Procedure, m *ProcMemo)
+	// Reuse reports a product this build kept, as kept: its sites call
+	// the procedures of this build's graph, and its Reuse is Always.
+	Reuse(p *sem.Procedure, m *ProcMemo)
+	// Base returns an earlier build's tables for this build to patch
+	// instead of filling its own, and the procedures in them that are
+	// no longer in the program. The tables must hold every product
+	// Lookup returns with Reuse Always. nil means there is none.
+	Base() (base *Functions, gone []*sem.Procedure)
 }
+
+// Reuse says when a memoized product stands in for analyzing its
+// procedure.
+type Reuse int8
+
+const (
+	// Always: nothing the procedure's analysis reads has changed.
+	Always Reuse = iota
+	// IfCalleesKept: an edit reached a callee. The product stands unless
+	// a callee this build analyzes changed what callers see.
+	IfCalleesKept
+	// Never: the procedure was edited. The product is its earlier
+	// version's, for the build to compare its new product with.
+	Never
+)
 
 // ProcMemo is one procedure's memoizable build product.
 type ProcMemo struct {
 	// Summary is the return jump-function summary; nil for recursive
 	// procedures and when return jump functions are off.
 	Summary *intra.ReturnSummary
-	// Sites are the procedure's forward jump functions, aligned with its
-	// CFG call sites (program-procedure callees only, in CFG order).
-	Sites []*SiteFunctions
+	// Funcs are the procedure's forward jump functions; Funcs.Sites are
+	// aligned with its CFG call sites (program-procedure callees only,
+	// in CFG order).
+	Funcs *ProcFunctions
 	// Truncated is how many expressions the procedure's analysis
 	// truncated to ⊥ under the size budget (needed to reproduce the
 	// driver's truncation warning exactly).
 	Truncated int
+	Reuse     Reuse
+	// ModChanged records that an edit changed the procedure's closed
+	// MOD or GMOD sets since the product was built: its callers see a
+	// change whatever its summary.
+	ModChanged bool
+}
+
+// sameSummary reports whether two return summaries are structurally
+// equal (nil summaries are equal to each other only).
+func sameSummary(a, b *intra.ReturnSummary) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	if !sameExpr(a.Result, b.Result) || len(a.Formals) != len(b.Formals) || len(a.Globals) != len(b.Globals) {
+		return false
+	}
+	for i, e := range a.Formals {
+		if f, ok := b.Formals[i]; !ok || !sameExpr(e, f) {
+			return false
+		}
+	}
+	for g, e := range a.Globals {
+		if f, ok := b.Globals[g]; !ok || !sameExpr(e, f) {
+			return false
+		}
+	}
+	return true
+}
+
+// SameSites reports whether two procedures' forward jump functions are
+// structurally equal site for site, callees compared by name.
+func SameSites(a, b []*SiteFunctions) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i, x := range a {
+		y := b[i]
+		if x.Callee.Name != y.Callee.Name || x.Dead != y.Dead || len(x.Formals) != len(y.Formals) || len(x.Globals) != len(y.Globals) {
+			return false
+		}
+		for j, e := range x.Formals {
+			if !sameExpr(e, y.Formals[j]) {
+				return false
+			}
+		}
+		for g, e := range x.Globals {
+			if f, ok := y.Globals[g]; !ok || !sameExpr(e, f) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// sameExpr compares two possibly nil expressions structurally.
+func sameExpr(a, b *symbolic.Expr) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return symbolic.StructCompare(a, b) == 0
 }
 
 // Build constructs return and forward jump functions for the whole
@@ -200,39 +293,55 @@ func Build(ctx context.Context, cg *callgraph.Graph, mod *modref.Info, forms *ss
 		Graph:   cg,
 		Mod:     mod,
 		Builder: b,
-		Returns: make(map[*sem.Procedure]*intra.ReturnSummary),
-		Procs:   make(map[*sem.Procedure]*ProcFunctions),
+		Intra:   make([]*intra.Result, len(cg.Order)),
 	}
-	builder := &fnBuilder{
-		fns:      fns,
-		ctx:      ctx,
-		entry:    entry,
-		forms:    forms,
-		workers:  par.Workers(cfgr.Parallelism, len(cg.Order)),
-		orderIdx: make(map[*sem.Procedure]int, len(cg.Order)),
-		results:  make([]*intra.Result, len(cg.Order)),
+	fb := &fnBuilder{
+		fns:     fns,
+		ctx:     ctx,
+		entry:   entry,
+		forms:   forms,
+		workers: par.Workers(cfgr.Parallelism, len(cg.Order)),
 	}
-	for i, n := range cg.Order {
-		builder.orderIdx[n.Proc] = i
+	if m := cfgr.Memo; m != nil {
+		fb.memos = make([]*ProcMemo, len(cg.Order))
+		for i, n := range cg.Order {
+			fb.memos[i] = m.Lookup(n.Proc)
+		}
+		if base, gone := m.Base(); base != nil {
+			fb.patch = true
+			fns.Returns, fns.Procs = maps.Clone(base.Returns), maps.Clone(base.Procs)
+			for _, p := range gone {
+				delete(fns.Returns, p)
+				delete(fns.Procs, p)
+			}
+		}
 	}
-	if builder.workers > 1 || cfgr.Memo != nil {
-		builder.procBuilders = make([]*symbolic.Builder, len(cg.Order))
+	if !fb.patch {
+		fns.Returns = make(map[*sem.Procedure]*intra.ReturnSummary)
+		fns.Procs = make(map[*sem.Procedure]*ProcFunctions, len(cg.Order))
+	}
+	if fb.workers > 1 || cfgr.Memo != nil {
+		fb.procBuilders = make([]*symbolic.Builder, len(cg.Order))
 		// Every worker builder is private until the final merge below, so
 		// the truncation sum observes quiescent counters.
 		defer func() {
-			for _, pb := range builder.procBuilders {
+			for _, pb := range fb.procBuilders {
 				if pb != nil {
 					b.AddTruncated(pb.Truncated())
 				}
 			}
+			b.AddTruncated(fb.reusedTrunc)
 		}()
 	}
-	if err := builder.analyze(); err != nil {
+	if err := fb.analyze(); err != nil {
 		return nil, err
 	}
-	if err := builder.buildForwards(); err != nil {
+	if err := fb.buildForwards(); err != nil {
 		return nil, err
 	}
+	// The value numberings keep fb through their options: let go of the
+	// products they replaced.
+	fb.memos = nil
 	return fns, nil
 }
 
@@ -260,15 +369,18 @@ func (fb *fnBuilder) forEach(count int, fn func(i int) error) error {
 }
 
 type fnBuilder struct {
-	fns      *Functions
-	ctx      context.Context
-	entry    EntryEnv
-	forms    *ssa.Table
-	workers  int
-	orderIdx map[*sem.Procedure]int
-	// results holds each procedure's value numbering, indexed like
-	// Graph.Order (nil for memoized procedures).
-	results []*intra.Result
+	fns     *Functions
+	ctx     context.Context
+	entry   EntryEnv
+	forms   *ssa.Table
+	workers int
+	// memos holds each procedure's memoized product, indexed like
+	// Graph.Order (nil without a memo), and patch records that the
+	// tables started as a copy of the memo's base.
+	memos []*ProcMemo
+	patch bool
+	// reusedTrunc sums the truncation counts of the reused products.
+	reusedTrunc int
 	// procBuilders (parallel mode only) gives each procedure a private
 	// expression builder: the hash-consing tables are not goroutine-safe,
 	// and expressions cross builders only through Substitute, which
@@ -276,13 +388,12 @@ type fnBuilder struct {
 	procBuilders []*symbolic.Builder
 }
 
-// memoHit returns the memoized build product for p, if any. The memo's
-// hit set is frozen before Build starts, so this is safe from workers.
-func (fb *fnBuilder) memoHit(p *sem.Procedure) *ProcMemo {
-	if m := fb.fns.Config.Memo; m != nil {
-		return m.Lookup(p)
+// memo returns procedure i's memoized product, if any.
+func (fb *fnBuilder) memo(i int) *ProcMemo {
+	if fb.memos == nil {
+		return nil
 	}
-	return nil
+	return fb.memos[i]
 }
 
 // builderFor returns the expression builder procedure i's analysis must
@@ -306,7 +417,7 @@ func (fb *fnBuilder) builderFor(i, values int) *symbolic.Builder {
 func (fb *fnBuilder) analyzeProc(n *callgraph.Node) *intra.Result {
 	defer guard.Repanic("jump", n.Proc.Name)
 	cfgr := fb.fns.Config
-	i := fb.orderIdx[n.Proc]
+	i := n.Index
 	fn := fb.forms.Func(i)
 	b := fb.builderFor(i, len(fn.Values))
 	iopts := intra.Options{
@@ -350,7 +461,7 @@ func (fb *fnBuilder) analyzeProc(n *callgraph.Node) *intra.Result {
 	return res
 }
 
-// analyze value-numbers every procedure once, walking the call graph
+// analyze value-numbers every procedure it must, walking the call graph
 // bottom-up (paper §4.1, first phase), and installs a ReturnSummary per
 // non-recursive procedure when return jump functions are on.
 //
@@ -363,17 +474,23 @@ func (fb *fnBuilder) analyzeProc(n *callgraph.Node) *intra.Result {
 // after the bottom-up one would, and none inside it. Without return
 // jump functions nothing depends on anything, so every procedure is on
 // level 0.
+//
+// With a memo the levels also decide which products stand (see Memo):
+// a callee in another component lies on a lower level, so whether its
+// summary changed is known before its callers' level starts, and a
+// callee in the same component has no summary, so only its MOD sets can
+// have changed, which the memo records up front.
 func (fb *fnBuilder) analyze() error {
 	order := fb.fns.Graph.BottomUp()
 	useReturns := fb.fns.Config.UseReturnJFs
-	// A memoized procedure lies outside the edit's blast radius: it is
-	// neither an edited procedure nor a transitive caller of one, so
-	// nothing built in this call changes its summary. Install them all
-	// up front, where a fresh build would have put them before any
-	// caller.
-	for _, n := range order {
-		if m := fb.memoHit(n.Proc); m != nil && m.Summary != nil {
-			fb.fns.Returns[n.Proc] = m.Summary
+	returns := fb.fns.Returns
+	// changed marks, by Graph.Order index, the procedures whose callers
+	// see a change.
+	changed := make([]bool, len(order))
+	for i, m := range fb.memos {
+		changed[i] = m == nil || m.ModChanged
+		if fb.patch && (m == nil || m.Reuse != Always) {
+			delete(returns, fb.fns.Graph.Order[i].Proc)
 		}
 	}
 
@@ -397,29 +514,63 @@ func (fb *fnBuilder) analyze() error {
 		for len(levels) <= lv {
 			levels = append(levels, nil)
 		}
-		if fb.memoHit(n.Proc) == nil {
-			levels[lv] = append(levels[lv], n)
-		}
+		levels[lv] = append(levels[lv], n)
 	}
-	for _, batch := range levels {
+	var batch []*callgraph.Node
+	for _, nodes := range levels {
+		batch = batch[:0]
+		for _, n := range nodes {
+			if fb.mustAnalyze(n, changed) {
+				batch = append(batch, n)
+			}
+		}
 		err := fb.forEach(len(batch), func(i int) error {
 			if err := fb.check(); err != nil {
 				return err
 			}
 			n := batch[i]
-			fb.results[fb.orderIdx[n.Proc]] = fb.analyzeProc(n)
+			fb.fns.Intra[n.Index] = fb.analyzeProc(n)
 			return nil
 		})
 		if err != nil {
 			return err
 		}
-		for _, n := range batch {
-			if useReturns && !n.Recursive {
-				fb.fns.Returns[n.Proc] = fb.summarize(n, fb.results[fb.orderIdx[n.Proc]])
+		for _, n := range nodes {
+			m := fb.memo(n.Index)
+			var sum *intra.ReturnSummary
+			if res := fb.fns.Intra[n.Index]; res != nil {
+				if useReturns && !n.Recursive {
+					sum = fb.summarize(n, res)
+				}
+				if m != nil && !sameSummary(sum, m.Summary) {
+					changed[n.Index] = true
+				}
+			} else if sum = m.Summary; fb.patch && m.Reuse == Always {
+				continue // the base holds it
+			}
+			if sum != nil {
+				returns[n.Proc] = sum
 			}
 		}
 	}
 	return nil
+}
+
+// mustAnalyze reports whether n's memoized product, if any, cannot
+// stand in for analyzing it.
+func (fb *fnBuilder) mustAnalyze(n *callgraph.Node, changed []bool) bool {
+	m := fb.memo(n.Index)
+	switch {
+	case m == nil || m.Reuse == Never:
+		return true
+	case m.Reuse == IfCalleesKept:
+		for _, c := range n.Callees {
+			if c != nil && changed[c.Index] {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // summarize extracts the return jump functions from one procedure's
@@ -472,23 +623,18 @@ func usableExit(res *intra.Result, v *ssa.Value) *symbolic.Expr {
 // buildForwards reads the per-site forward jump functions off the
 // stored value numberings (paper §4.1, second phase; a top-down pass,
 // though with the results fixed the order no longer matters — which is
-// also what lets the pass fan out).
+// also what lets the pass fan out), then installs them and reports
+// every product to the memo in Graph order.
 func (fb *fnBuilder) buildForwards() error {
 	order := fb.fns.Graph.TopDown()
 	pfs := make([]*ProcFunctions, len(order))
 	err := fb.forEach(len(order), func(k int) error {
 		n := order[k]
-		i := fb.orderIdx[n.Proc]
-		if m := fb.memoHit(n.Proc); m != nil {
-			// Reuse the memoized product wholesale. The truncation the
-			// original analysis observed is credited to this procedure's
-			// builder so the driver's warning reproduces exactly.
-			pfs[k] = &ProcFunctions{Proc: n.Proc, Sites: m.Sites}
-			fb.builderFor(i, 0).AddTruncated(m.Truncated)
+		res := fb.fns.Intra[n.Index]
+		if res == nil {
 			return nil
 		}
-		res := fb.results[i]
-		pf := &ProcFunctions{Proc: n.Proc, Intra: res}
+		pf := &ProcFunctions{Proc: n.Proc}
 		for _, site := range res.F.Graph.Sites {
 			calleeNode := fb.fns.Graph.Nodes[site.Callee]
 			if calleeNode == nil {
@@ -496,25 +642,63 @@ func (fb *fnBuilder) buildForwards() error {
 			}
 			pf.Sites = append(pf.Sites, fb.siteFunctions(res, site, calleeNode.Proc))
 		}
-		pfs[k] = pf
-		if memo := fb.fns.Config.Memo; memo != nil {
-			// The procedure's analysis used its private builder, so its
-			// truncation counter is exactly this procedure's share.
-			memo.Store(n.Proc, &ProcMemo{
-				Summary:   fb.fns.Returns[n.Proc],
-				Sites:     pf.Sites,
-				Truncated: fb.builderFor(i, 0).Truncated(),
-			})
-		}
+		pfs[n.Index] = pf
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	for i, n := range order {
-		fb.fns.Procs[n.Proc] = pfs[i]
+	memo := fb.fns.Config.Memo
+	for i, n := range fb.fns.Graph.Order {
+		m := fb.memo(i)
+		if pf := pfs[i]; pf != nil {
+			fb.fns.Procs[n.Proc] = pf
+			if memo != nil {
+				// The procedure's analysis used its private builder, so its
+				// truncation counter is exactly this procedure's share.
+				memo.Store(n.Proc, &ProcMemo{
+					Summary:   fb.fns.Returns[n.Proc],
+					Funcs:     pf,
+					Truncated: fb.procBuilders[i].Truncated(),
+				})
+			}
+			continue
+		}
+		// Reuse the memoized product, credit the truncations its analysis
+		// observed so the driver's warning reproduces exactly, and point a
+		// kept caller's sites at this program's callees.
+		fb.reusedTrunc += m.Truncated
+		if m.Reuse != Always {
+			m = &ProcMemo{Summary: m.Summary, Funcs: fb.repoint(m.Funcs), Truncated: m.Truncated}
+			fb.fns.Procs[n.Proc] = m.Funcs
+		} else if !fb.patch {
+			fb.fns.Procs[n.Proc] = m.Funcs
+		}
+		memo.Reuse(n.Proc, m)
 	}
 	return nil
+}
+
+// repoint returns pf with every site calling the procedure of its
+// callee's name in this build's graph, copying only what changes.
+func (fb *fnBuilder) repoint(pf *ProcFunctions) *ProcFunctions {
+	var sites []*SiteFunctions
+	for j, sf := range pf.Sites {
+		cur := fb.fns.Graph.Nodes[sf.Callee.Name].Proc
+		if cur == sf.Callee {
+			continue
+		}
+		if sites == nil {
+			sites = slices.Clone(pf.Sites)
+		}
+		moved := *sf
+		moved.Callee = cur
+		sites[j] = &moved
+	}
+	if sites == nil {
+		return pf
+	}
+	return &ProcFunctions{Proc: pf.Proc, Sites: sites}
 }
 
 func (fb *fnBuilder) siteFunctions(res *intra.Result, site *cfg.CallSite, callee *sem.Procedure) *SiteFunctions {

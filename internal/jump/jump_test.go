@@ -326,11 +326,11 @@ func TestBuildValueNumbersEachProcedureOnce(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, p := range prog.Order {
+				for i, p := range prog.Order {
 					if runs[p] != 1 {
 						t.Errorf("%s value-numbered %d times, want 1", p.Name, runs[p])
 					}
-					if fns.Procs[p] == nil || fns.Procs[p].Intra == nil {
+					if fns.Procs[p] == nil || fns.Intra[i] == nil {
 						t.Errorf("%s has no stored value numbering", p.Name)
 					}
 				}

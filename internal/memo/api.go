@@ -45,3 +45,7 @@ func (w World) Diags() []source.Diagnostic { return w.w.diags }
 func (w World) Hooks() core.MemoHooks {
 	return &Hooks{st: w.w.arts, f: w.w.Front, c: w.c, w: w.w}
 }
+
+// Procs calls visit with every procedure the world's artifacts refer
+// to (see Store.Procs).
+func (w World) Procs(visit func(where string, p *sem.Procedure)) { w.w.arts.Procs(visit) }

@@ -112,3 +112,18 @@ func (s *ContextStore) Bytes() int64 {
 func recordBytes(key string, rec *core.ContextRecord) int64 {
 	return int64(len(key)) + int64(len(rec.Contribs))*48 + 96
 }
+
+// Procs calls visit with every procedure the store's records refer to:
+// each record's procedure and the callees of its contributions.
+func (s *ContextStore) Procs(visit func(where string, p *sem.Procedure)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for p, recs := range s.recs {
+		visit("context", p)
+		for _, rec := range recs {
+			for _, cb := range rec.Contribs {
+				visit("context contribution", cb.Callee)
+			}
+		}
+	}
+}

@@ -71,10 +71,10 @@ func TestReplaceEmptyUnit(t *testing.T) {
 	}
 	g := callgraph.Build(prog)
 	fe := Front{Prog: prog, Graph: g, Mod: modref.Compute(g)}
-	if _, _, ok := Replace(fe, []Unit{{Keep: -1, Chunk: Chunk{File: "p.f", StartLine: 1}}}); ok {
+	if _, ok := Replace(fe, []Unit{{Keep: -1, Chunk: Chunk{File: "p.f", StartLine: 1}}}); ok {
 		t.Fatal("Replace accepted an empty new unit")
 	}
-	if _, _, ok := Replace(fe, []Unit{{Keep: 0}}); !ok {
+	if _, ok := Replace(fe, []Unit{{Keep: 0}}); !ok {
 		t.Fatal("Replace rejected keeping the only unit")
 	}
 }

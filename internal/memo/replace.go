@@ -30,62 +30,79 @@ type Unit struct {
 	Chunk
 }
 
+// Delta is what one replace step changed: the program it derived from
+// and the one it produced.
+type Delta struct {
+	From, To Front
+	// Blast lists the procedures of From whose artifacts the edit may
+	// invalidate: each procedure not kept and its transitive callers. A
+	// procedure's jump functions and substitution decisions are built
+	// from its own body plus its transitive callees' return summaries
+	// and MOD sets, so nothing outside Blast can see the edit. Blast is
+	// an upper bound: an analysis rebuilds a kept caller only when a
+	// callee it rebuilt changed what callers see (jump.Memo).
+	Blast []*sem.Procedure
+	// Rewired is set when a replaced procedure calls a different set of
+	// procedures: components and levels of the call graph may move, so
+	// every procedure of Blast is rebuilt.
+	Rewired bool
+}
+
 // Replace is the replace step of incremental analysis, the one path by
 // which both the cache and sessions reuse an analyzed program. units
 // lists the edited program's units, as Plan aligns them with f's;
-// Replace parses each new one alone
-// at its absolute line, so its AST holds exactly the positions a parse
-// of the whole text would give, derives the program with them
-// (sem.Program.Derive), and rebuilds the call graph and MOD/REF
-// summaries reusing every kept procedure's CFG and direct effects.
-//
-// blast lists the procedures of f whose artifacts the edit invalidates:
-// each procedure not kept and its transitive callers. A procedure's jump
-// functions and substitution decisions are built from its own body plus
-// its transitive callees' return summaries and MOD sets, so nothing
-// outside blast can see the edit. The callers are found on f's graph: a
+// Replace parses each new one alone at its absolute line, so its AST
+// holds exactly the positions a parse of the whole text would give,
+// derives the program with them (sem.Program.Derive), and rebuilds the
+// call graph and MOD/REF summaries reusing every kept procedure's CFG
+// and direct effects. The callers in d.Blast are found on f's graph: a
 // kept procedure can call a new one only if it called the unit of that
 // name before, and a path through a new unit's body starts at a unit
-// already in blast.
+// already in the blast radius.
 //
 // ok is false when a new unit does not parse alone to exactly one unit
-// (an empty text parses to none), produces any diagnostic, or is rejected by the derivation, or when a
-// kept unit calls a procedure the edit removed; the caller then
-// analyzes the edited text from scratch.
-func Replace(f Front, units []Unit) (next Front, blast []*sem.Procedure, ok bool) {
+// (an empty text parses to none), produces any diagnostic, or is
+// rejected by the derivation, or when a kept unit calls a procedure the
+// edit removed; the caller then analyzes the edited text from scratch.
+func Replace(f Front, units []Unit) (d Delta, ok bool) {
 	old := f.Prog.File.Units
 	list := make([]*ast.Unit, len(units))
 	for i, u := range units {
 		switch {
 		case u.Keep >= len(old):
-			return Front{}, nil, false
+			return Delta{}, false
 		case u.Keep >= 0:
 			list[i] = old[u.Keep]
 			continue
 		case u.StartLine < 1:
-			return Front{}, nil, false
+			return Delta{}, false
 		}
 		var diags source.ErrorList
 		uf := parser.ParseSource(u.File, strings.Repeat("\n", u.StartLine-1)+u.Text, &diags)
 		if len(diags.Diags) > 0 || len(uf.Units) != 1 {
-			return Front{}, nil, false
+			return Delta{}, false
 		}
 		list[i] = uf.Units[0]
 	}
 	var diags source.ErrorList
 	prog, ok := f.Prog.Derive(list, &diags)
 	if !ok || len(diags.Diags) > 0 {
-		return Front{}, nil, false
+		return Delta{}, false
 	}
 
+	g := callgraph.BuildReuse(prog, f.Graph)
 	seen := make([]bool, len(f.Graph.Order))
 	var queue []*callgraph.Node
-	removed := false
+	removed, rewired := false, false
 	for _, n := range f.Graph.Order {
 		if prog.ProcIndex(n.Proc) < 0 {
 			seen[n.Index] = true
 			queue = append(queue, n)
-			removed = removed || prog.Procs[n.Proc.Name] == nil
+			if m := g.Nodes[n.Proc.Name]; m == nil {
+				removed = true
+			} else if !rewired {
+				rewired = !sameCallees(n, m)
+			}
 		}
 	}
 	for i := 0; i < len(queue); i++ {
@@ -96,17 +113,33 @@ func Replace(f Front, units []Unit) (next Front, blast []*sem.Procedure, ok bool
 			}
 		}
 	}
-	blast = make([]*sem.Procedure, len(queue))
+	d = Delta{From: f, Blast: make([]*sem.Procedure, len(queue)), Rewired: rewired}
 	for i, n := range queue {
-		blast[i] = n.Proc
+		d.Blast[i] = n.Proc
 	}
-	g := callgraph.BuildReuse(prog, f.Graph)
 	if removed {
 		for _, n := range g.Order {
 			if slices.Contains(n.Callees, nil) {
-				return Front{}, nil, false // a kept unit calls a removed procedure
+				return Delta{}, false // a kept unit calls a removed procedure
 			}
 		}
 	}
-	return Front{Prog: prog, Graph: g, Mod: modref.ComputeReuse(g, f.Mod)}, blast, true
+	d.To = Front{Prog: prog, Graph: g, Mod: modref.ComputeReuse(g, f.Mod)}
+	return d, true
+}
+
+// sameCallees reports whether two nodes call the same set of
+// procedures, by name.
+func sameCallees(a, b *callgraph.Node) bool {
+	names := func(n *callgraph.Node) []string {
+		out := make([]string, 0, len(n.Callees))
+		for _, c := range n.Callees {
+			if c != nil {
+				out = append(out, c.Proc.Name)
+			}
+		}
+		slices.Sort(out)
+		return slices.Compact(out)
+	}
+	return slices.Equal(names(a), names(b))
 }

@@ -175,14 +175,14 @@ func (c *Cache) deriveWorld(key, shape string, chunks []Chunk) (w *world, carrie
 	if donor == nil {
 		return nil, 0
 	}
-	f, blast, ok := Replace(donor.Front, units)
+	d, ok := Replace(donor.Front, units)
 	if !ok {
 		return nil, 0
 	}
 	c.derived.Add(1)
 	c.count(uint64(kept), uint64(len(chunks)-kept))
-	w = &world{key: key, Front: f, chunks: chunks, shape: shape}
-	w.arts, carried = donor.arts.Derive(blast)
+	w = &world{key: key, Front: d.To, chunks: chunks, shape: shape}
+	w.arts, carried = donor.arts.Derive(d)
 	return w, carried
 }
 

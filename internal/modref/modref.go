@@ -98,6 +98,19 @@ func (in *Info) GRef(p *sem.Procedure, g *sem.GlobalVar) bool {
 	return s != nil && s.closed.gref.Has(g.Num())
 }
 
+// SameMod reports whether the procedure called name has the same closed
+// MOD and GMOD sets in in as in prev: the effects a caller's build
+// reads. Both must number globals alike, which holds for a program and
+// the one the replace step derived from it.
+func (in *Info) SameMod(prev *Info, name string) bool {
+	n, m := in.Graph.Nodes[name], prev.Graph.Nodes[name]
+	if n == nil || m == nil {
+		return false
+	}
+	a, b := &in.sums[n.Index].closed, &prev.sums[m.Index].closed
+	return slices.Equal(a.mod, b.mod) && slices.Equal(a.gmod, b.gmod)
+}
+
 // Kills adapts the summaries to the ssa.Options.Kills signature: at a
 // call site, the killed formal positions are MOD(callee) and the killed
 // globals, by number, are GMOD(callee). The sets are shared: callers

@@ -189,10 +189,11 @@ func TestComputeReuseMatchesCompute(t *testing.T) {
 				units[i].Keep = i
 			}
 			units[idx] = memo.Unit{Keep: -1, Chunk: memo.Chunk{File: name, StartLine: chunks[idx].StartLine, Text: text}}
-			next, _, ok := memo.Replace(fe, units)
+			d, ok := memo.Replace(fe, units)
 			if !ok {
 				return false
 			}
+			next := d.To
 			fe = next
 			prog, cg, info = next.Prog, next.Graph, next.Mod
 			return true

@@ -256,15 +256,21 @@ func TestSessionAPIDisabled(t *testing.T) {
 
 // TestSessionContextReuseAcrossEdits: repeated one-unit edits keep
 // reusing value contexts; the counters in /statsz prove it (this is
-// the assertion the CI sessions-smoke job makes over HTTP).
+// the assertion the CI sessions-smoke job makes over HTTP). The LEAF
+// edits change no forward jump function, so each keeps the solution;
+// the last edit changes MAIN's call of TOP, so the program is solved
+// again and OTHER, whose incoming row holds, replays its step.
 func TestSessionContextReuseAcrossEdits(t *testing.T) {
 	s := newTestServer(Config{})
 	open := openSession(t, s, sessionSrc)
-	for i := 0; i < 3; i++ {
-		leaf := fmt.Sprintf("SUBROUTINE LEAF(N, M)\nINTEGER N, M\nPRINT *, N + M + %d\nEND\n\n", i)
-		code, edit, body := editSession(t, s, open.ID, []map[string]interface{}{
-			{"op": "replace", "index": 2, "text": leaf},
-		})
+	for i := 0; i < 4; i++ {
+		delta := map[string]interface{}{"op": "replace", "index": 2,
+			"text": fmt.Sprintf("SUBROUTINE LEAF(N, M)\nINTEGER N, M\nPRINT *, N + M + %d\nEND\n\n", i)}
+		if i == 3 {
+			delta = map[string]interface{}{"op": "replace", "index": 0,
+				"text": "PROGRAM MAIN\nCALL TOP(9, 3)\nCALL OTHER(5)\nEND\n\n"}
+		}
+		code, edit, body := editSession(t, s, open.ID, []map[string]interface{}{delta})
 		if code != http.StatusOK {
 			t.Fatalf("edit %d: %d %s", i, code, body)
 		}

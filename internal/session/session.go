@@ -4,25 +4,33 @@
 // A session holds one program as a list of unit chunks (each unit's
 // text and start line) plus every artifact of its last analysis — the
 // semantic Program with its AST, the call graph and MOD/REF summaries,
-// the artifact store of jump functions and substitution decisions, and
-// the value-context store — all keyed by live pointers, not content
-// hashes. Apply applies a delta list (replace, add, delete) to a copy
-// of the chunk list and derives the edited program from the resident
-// one by the rule the analysis cache derives an edited text from a
-// cached one: memo.Plan keeps every unit whose text and start line are
-// unchanged, and memo.Replace parses every other unit alone at its
-// line, derives the program (sem.Program.Derive), and invalidates only
-// the new and removed procedures and their transitive callers (the
-// "blast radius"). Every other procedure keeps its artifacts by
-// pointer. What a session saves over the cache is the lookup itself:
-// no re-splitting, no hashing, no donor search.
+// the artifact store of jump functions, VAL solutions and substitution
+// decisions, and the value-context store — all keyed by live pointers,
+// not content hashes. Apply applies a delta list (replace, add, delete)
+// to a copy of the chunk list and derives the edited program from the
+// resident one by the rule the analysis cache derives an edited text
+// from a cached one: memo.Plan keeps every unit whose text and start
+// line are unchanged, and memo.Replace parses every other unit alone at
+// its line, derives the program (sem.Program.Derive), and bounds what
+// the edit can reach: the new and removed procedures and their
+// transitive callers (the "blast radius"). What a session saves over
+// the cache is the lookup itself: no re-splitting, no hashing, no donor
+// search.
 //
-// Soundness of the blast radius is argued at memo.Replace: nothing
-// outside it can see the edit, so its jump functions, substitution
-// decisions and recorded value contexts stay valid. MOD/REF summaries
-// are recomputed every edit from the previous ones: each unedited
-// procedure keeps its direct effects, and every closed set is rebuilt
-// from them.
+// The blast radius is an upper bound, cut off early (memo.Store.Advance,
+// jump.Memo). A caller sees a callee only through its return jump
+// functions and MOD sets, so the re-analysis rebuilds a kept caller's
+// jump functions only when a callee it rebuilt changed one of them, and
+// keeps the last VAL solution when no forward jump function, no
+// procedure and no DATA initialization changed. Substitution counts
+// again only the procedures it rebuilt and those whose VAL row changed.
+// Every other procedure keeps its artifacts by pointer; a kept caller's
+// call sites are pointed at its callees' new procedures. Nothing
+// outside the radius can see the edit (see memo.Delta), so its recorded
+// value contexts stay valid; those of the radius are dropped. MOD/REF
+// summaries are recomputed every edit from the previous ones: each
+// unedited procedure keeps its direct effects, and every closed set is
+// rebuilt from them.
 //
 // Cross-builder discipline: reused jump-function expressions were
 // interned by an earlier analysis's builders. That is safe under the
@@ -98,8 +106,8 @@ type Stats struct {
 	FullRebuilds int64
 	// UnitsInvalidated accumulates blast-radius sizes across fast edits.
 	UnitsInvalidated int64
-	// JumpReused / SubstReused accumulate per-procedure artifacts reused
-	// in place across analyses.
+	// JumpReused / SubstReused accumulate the procedures whose jump
+	// functions or substitution decisions analyses kept.
 	JumpReused  int64
 	SubstReused int64
 	// ContextHits / ContextMisses are the value-context store's counters.
@@ -114,12 +122,16 @@ type EditInfo struct {
 	// FastPath is true when the call derived the edited program from
 	// the resident one instead of rebuilding it.
 	FastPath bool
-	// UnitsInvalidated is the total blast-radius size (fast path) or the
-	// whole program size (rebuild).
+	// UnitsInvalidated is the blast radius (fast path): the procedures
+	// the edit may reach, an upper bound on those rebuilt; or the whole
+	// program size (rebuild).
 	UnitsInvalidated int
-	// ContextsReused counts value-context replays during the re-analysis.
+	// ContextsReused counts value-context replays during the
+	// re-analysis; a re-analysis that keeps the solution replays none.
 	ContextsReused int
-	// JumpReused / SubstReused count per-procedure artifacts reused.
+	// JumpReused / SubstReused count the procedures whose jump
+	// functions or substitution decisions the re-analysis kept,
+	// inside the blast radius as well as outside it.
 	JumpReused  int
 	SubstReused int
 	// DeltaBytes is the raw size of the call's edit payloads.
@@ -309,17 +321,17 @@ func (s *Session) derive(units []memo.Chunk) (blast int, ok bool) {
 	if kept == 0 {
 		return 0, false
 	}
-	fe, procs, ok := memo.Replace(s.fe, plan)
+	d, ok := memo.Replace(s.fe, plan)
 	if !ok {
 		return 0, false
 	}
-	s.units, s.fe = units, fe
-	s.arts.Drop(procs)
-	for _, p := range procs {
+	s.units, s.fe = units, d.To
+	s.arts.Advance(d)
+	for _, p := range d.Blast {
 		s.ctxs.Invalidate(p)
 	}
-	s.stats.UnitsInvalidated += int64(len(procs))
-	return len(procs), true
+	s.stats.UnitsInvalidated += int64(len(d.Blast))
+	return len(d.Blast), true
 }
 
 // rebuild re-analyzes the whole program from the concatenated unit

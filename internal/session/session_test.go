@@ -90,6 +90,54 @@ func mustEqualCold(t *testing.T, s *Session, cfg core.Config, when string) {
 	}
 }
 
+// mustMatchAfterEdit is mustEqualCold plus mustHoldNoStalePointer: a
+// fast edit must leave results and artifacts as a cold analysis would.
+func mustMatchAfterEdit(t *testing.T, s *Session, cfg core.Config, when string) {
+	t.Helper()
+	mustEqualCold(t, s, cfg, when)
+	mustHoldNoStalePointer(t, s, when)
+}
+
+// mustHoldNoStalePointer walks every artifact the session keeps past an
+// analysis — the analysis's jump-function tables, its substitution
+// result, the artifact store and the value-context store — and fails
+// on any procedure that is not the current program's procedure of its
+// name. A kept caller still pointing at a replaced callee would feed
+// nothing to it: the solvers skip a callee that is not in the program.
+func mustHoldNoStalePointer(t *testing.T, s *Session, when string) {
+	t.Helper()
+	prog := s.fe.Prog
+	check := func(where string, p *sem.Procedure) {
+		t.Helper()
+		if p == nil || prog.Procs[p.Name] != p {
+			name := "<nil>"
+			if p != nil {
+				name = p.Name
+			}
+			t.Fatalf("%s: %s holds a stale procedure %s", when, where, name)
+		}
+	}
+	a, _, sub, _, err := s.Snapshot()
+	if err != nil {
+		t.Fatalf("%s: %v", when, err)
+	}
+	for p, sum := range a.Funcs.Returns {
+		check("Returns", p)
+		check("ReturnSummary.Proc", sum.Proc)
+	}
+	for p, pf := range a.Funcs.Procs {
+		check("Procs", p)
+		for _, sf := range pf.Sites {
+			check("SiteFunctions.Callee", sf.Callee)
+		}
+	}
+	for _, p := range sub.Procs {
+		check("subst result", p)
+	}
+	s.arts.Procs(check)
+	s.ctxs.Procs(check)
+}
+
 // TestSessionFastPathEquivalence drives a session through derived edits
 // and checks byte-identity with a cold analysis of the concatenated text
 // after every step, at parallelism 1 and 4: replaces on the two-chain
@@ -122,10 +170,12 @@ func TestSessionFastPathEquivalence(t *testing.T) {
 			if info.UnitsInvalidated != 3 {
 				t.Fatalf("LEAF blast = %d, want 3", info.UnitsInvalidated)
 			}
-			if info.JumpReused != 1 {
-				t.Fatalf("LEAF edit reused %d jump artifacts, want 1 (OTHER)", info.JumpReused)
+			// LEAF's return jump functions are unchanged, so its callers
+			// keep theirs.
+			if info.JumpReused != 3 {
+				t.Fatalf("LEAF edit reused %d jump artifacts, want 3 (OTHER, TOP, MAIN)", info.JumpReused)
 			}
-			mustEqualCold(t, s, cfg, "after LEAF edit")
+			mustMatchAfterEdit(t, s, cfg, "after LEAF edit")
 
 			// Last-unit edit may change the line count.
 			other := strings.Replace(s.units[3].Text, "PRINT *, K * 2", "PRINT *, K * 2\nPRINT *, K + 7", 1)
@@ -139,10 +189,10 @@ func TestSessionFastPathEquivalence(t *testing.T) {
 			if info.UnitsInvalidated != 2 {
 				t.Fatalf("OTHER blast = %d, want 2 (OTHER, MAIN)", info.UnitsInvalidated)
 			}
-			if info.JumpReused != 2 {
-				t.Fatalf("OTHER edit reused %d jump artifacts, want 2 (TOP, LEAF)", info.JumpReused)
+			if info.JumpReused != 3 {
+				t.Fatalf("OTHER edit reused %d jump artifacts, want 3 (TOP, LEAF, MAIN)", info.JumpReused)
 			}
-			mustEqualCold(t, s, cfg, "after OTHER edit")
+			mustMatchAfterEdit(t, s, cfg, "after OTHER edit")
 
 			// No-op replace: nothing to invalidate, nothing re-analyzed.
 			info, err = s.Apply(context.Background(), []Edit{{Op: OpReplace, Index: 1, Text: s.units[1].Text}})
@@ -152,11 +202,27 @@ func TestSessionFastPathEquivalence(t *testing.T) {
 			if !info.FastPath || info.UnitsInvalidated != 0 {
 				t.Fatalf("no-op replace: %+v", info)
 			}
-			mustEqualCold(t, s, cfg, "after no-op edit")
+			mustMatchAfterEdit(t, s, cfg, "after no-op edit")
+
+			// None of the edits above changed a forward jump function, so
+			// each kept the solution. Changing MAIN's call of OTHER, and
+			// changing it back, solves again twice; the second solve finds
+			// TOP and LEAF with the incoming rows the first recorded.
+			main := s.units[0].Text
+			for _, text := range []string{strings.Replace(main, "OTHER(5)", "OTHER(6)", 1), main} {
+				info, err = s.Apply(context.Background(), []Edit{{Op: OpReplace, Index: 0, Text: text}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !info.FastPath || info.UnitsInvalidated != 1 || info.JumpReused != 3 {
+					t.Fatalf("MAIN edit: %+v, want fast path, 1 invalidated, 3 reused", info)
+				}
+				mustMatchAfterEdit(t, s, cfg, "after MAIN edit")
+			}
 
 			st := s.Stats()
-			if st.FastEdits < 3 || st.FullRebuilds != 1 {
-				t.Fatalf("stats = %+v, want >=3 fast edits and exactly 1 rebuild", st)
+			if st.FastEdits < 5 || st.FullRebuilds != 1 {
+				t.Fatalf("stats = %+v, want >=5 fast edits and exactly 1 rebuild", st)
 			}
 			if st.ContextHits == 0 {
 				t.Fatalf("no value-context replays across edits: %+v", st)
@@ -178,28 +244,31 @@ func TestSessionFastPathEquivalence(t *testing.T) {
 
 			// STRIDE (unit 5) feeds the EVEN/ODD cycle through its return
 			// jump function: the blast radius is STRIDE, EVEN, ODD, DRIVER
-			// and MAIN, and only the self-recursive FACT is reused.
+			// and MAIN. STRIDE's summary changed, so EVEN is rebuilt; EVEN
+			// is recursive and has no summary, so ODD, DRIVER and MAIN keep
+			// theirs, and so does FACT, outside the radius.
 			stride := strings.Replace(s.units[5].Text, "S = K - 1", "S = K - 2", 1)
 			info, err := s.Apply(context.Background(), []Edit{{Op: OpReplace, Index: 5, Text: stride}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !info.FastPath || info.UnitsInvalidated != 5 || info.JumpReused != 1 {
-				t.Fatalf("STRIDE edit: %+v, want fast path, 5 invalidated, 1 reused", info)
+			if !info.FastPath || info.UnitsInvalidated != 5 || info.JumpReused != 4 {
+				t.Fatalf("STRIDE edit: %+v, want fast path, 5 invalidated, 4 reused", info)
 			}
-			mustEqualCold(t, s, cfg, "after STRIDE edit")
+			mustMatchAfterEdit(t, s, cfg, "after STRIDE edit")
 
 			// FACT (unit 2) calls only itself: its blast radius is FACT,
-			// DRIVER and MAIN.
+			// DRIVER and MAIN. FACT is recursive and its MOD sets hold, so
+			// only FACT is rebuilt.
 			fact := strings.Replace(s.units[2].Text, "F = N * G", "F = N * G + 1", 1)
 			info, err = s.Apply(context.Background(), []Edit{{Op: OpReplace, Index: 2, Text: fact}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !info.FastPath || info.UnitsInvalidated != 3 || info.JumpReused != 3 {
-				t.Fatalf("FACT edit: %+v, want fast path, 3 invalidated, 3 reused", info)
+			if !info.FastPath || info.UnitsInvalidated != 3 || info.JumpReused != 5 {
+				t.Fatalf("FACT edit: %+v, want fast path, 3 invalidated, 5 reused", info)
 			}
-			mustEqualCold(t, s, cfg, "after FACT edit")
+			mustMatchAfterEdit(t, s, cfg, "after FACT edit")
 		})
 	}
 	effects, err := os.ReadFile(filepath.Join("testdata", "effects.f"))
@@ -233,7 +302,7 @@ func TestSessionFastPathEquivalence(t *testing.T) {
 					if !info.FastPath {
 						t.Fatalf("%s: slow path: %+v", when, info)
 					}
-					mustEqualCold(t, s, cfg, when)
+					mustMatchAfterEdit(t, s, cfg, when)
 				}
 			}
 		})
@@ -245,10 +314,93 @@ func TestSessionFastPathEquivalence(t *testing.T) {
 				if info.JumpReused != d.reused {
 					t.Fatalf("%s reused %d jump artifacts, want %d: %+v", d.name, info.JumpReused, d.reused, info)
 				}
-				mustEqualCold(t, s, cfg, "after "+d.name)
+				mustMatchAfterEdit(t, s, cfg, "after "+d.name)
 			})
 		})
 	}
+	for _, par := range []int{1, 4} {
+		t.Run(fmt.Sprintf("cutoff/par%d", par), func(t *testing.T) {
+			cfg := testConfig(par)
+			for _, c := range cutoffCases {
+				src, edited := readCutoffCase(t, c.name)
+				s, err := Open(context.Background(), "prog.f", src, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				info, err := s.Apply(context.Background(), []Edit{cutoffEdit(t, src, edited)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if s.Source() != edited {
+					t.Fatalf("%s: the edit did not produce the edited text", c.name)
+				}
+				if !info.FastPath || info.UnitsInvalidated != c.invalidated || info.JumpReused != c.reused {
+					t.Fatalf("%s: %+v, want fast path, %d invalidated, %d reused", c.name, info, c.invalidated, c.reused)
+				}
+				mustMatchAfterEdit(t, s, cfg, "after the "+c.name+" edit")
+			}
+		})
+	}
+}
+
+// cutoffCases are the edits of testdata/cutoff, each NAME.f edited to
+// NAME.edited.f in one unit, with the blast radius and the number of
+// procedures that keep their jump functions:
+//   - body: LEAF's body changes but not what it returns: TOP and MAIN
+//     keep theirs.
+//   - summary: LEAF's return jump function changes, so MID is rebuilt;
+//     MID's does not, so TOP and MAIN keep theirs.
+//   - mod: LEAF gains N = N. Its jump functions and R[N] = N hold, but
+//     its MOD set grows, so MAIN is rebuilt and CALL LEAF(5) becomes
+//     CALL LEAF(K).
+//   - forward: TOP swaps its actuals: only a forward jump function
+//     changes, so the program is solved again and MAIN keeps its own.
+//   - data: DATA G /3/ becomes /4/ in P. Every jump function holds, yet
+//     G changes in MAIN and P, so the program is solved again.
+//   - recursive: LEAF calls TOP, which calls LEAF: a new call edge
+//     rebuilds the whole radius.
+var cutoffCases = []struct {
+	name                string
+	invalidated, reused int
+}{
+	{"body", 3, 3},
+	{"summary", 4, 2},
+	{"mod", 2, 0},
+	{"forward", 2, 3},
+	{"data", 2, 1},
+	{"recursive", 3, 1},
+}
+
+// readCutoffCase returns the texts of testdata/cutoff/NAME.f and
+// NAME.edited.f.
+func readCutoffCase(t *testing.T, name string) (src, edited string) {
+	t.Helper()
+	a, err := os.ReadFile(filepath.Join("testdata", "cutoff", name+".f"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(filepath.Join("testdata", "cutoff", name+".edited.f"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(a), string(b)
+}
+
+// cutoffEdit returns the one replace delta that turns src into edited.
+func cutoffEdit(t *testing.T, src, edited string) Edit {
+	t.Helper()
+	from, _ := memo.Split("prog.f", src)
+	to, _ := memo.Split("prog.f", edited)
+	var e []Edit
+	for i := range min(len(from), len(to)) {
+		if from[i].Text != to[i].Text {
+			e = append(e, Edit{Op: OpReplace, Index: i, Text: to[i].Text})
+		}
+	}
+	if len(from) != len(to) || len(e) != 1 {
+		t.Fatalf("the texts differ in %d units of %d and %d, want one", len(e), len(from), len(to))
+	}
+	return e[0]
 }
 
 // sixUnits has an uncalled unit, SPARE, between two call chains:
@@ -297,27 +449,30 @@ type delta struct {
 // one must be derived. A unit after a line-changing edit moves, so it is
 // new, and so are its callers.
 var structuralDeltas = []delta{
+	// LEAF and every unit after it move, so they are new; their return
+	// jump functions do not change, so TOP and MAIN keep theirs.
 	{"middle unit one line longer", func(s *Session) []Edit {
 		return []Edit{{Op: OpReplace, Index: 2, Text: strings.Replace(s.units[2].Text, "END", "PRINT *, N\nEND", 1)}}
-	}, 0},
+	}, 2},
 	{"add at the end", func(s *Session) []Edit {
 		return []Edit{{Op: OpAdd, Index: 6, Text: "\nSUBROUTINE EXTRA(J)\nINTEGER J\nPRINT *, J - 1\nEND\n"}}
 	}, 6},
+	// Every unit but MAIN moves; MAIN keeps its jump functions.
 	{"add at index 1", func(s *Session) []Edit {
 		return []Edit{{Op: OpAdd, Index: 1, Text: "SUBROUTINE FIRST(J)\nINTEGER J\nPRINT *, J\nEND\n\n"}}
-	}, 0},
-	// MAIN calls OTHER, which moves; FIRST, TOP and LEAF stay.
+	}, 1},
+	// MAIN calls OTHER, which moves; FIRST, TOP, LEAF and MAIN stay.
 	{"delete an uncalled middle unit", func(s *Session) []Edit {
 		return []Edit{{Op: OpDelete, Index: 4}}
-	}, 3},
+	}, 4},
 	// TOP keeps its line count, so FIRST and the units between TOP and
-	// EXTRA stay.
+	// EXTRA stay, and MAIN keeps its jump functions.
 	{"two replaces far apart", func(s *Session) []Edit {
 		return []Edit{
 			{Op: OpReplace, Index: 2, Text: strings.Replace(s.units[2].Text, "LEAF(N, M)", "LEAF(M, N)", 1)},
 			{Op: OpReplace, Index: 6, Text: strings.Replace(s.units[6].Text, "J - 1", "J - 2\nPRINT *, J", 1)},
 		}
-	}, 4},
+	}, 5},
 	// MAIN trades its trailing blank line for the call, keeping its line
 	// count, so every other unit stays.
 	{"add a unit and its call", func(s *Session) []Edit {

@@ -58,10 +58,7 @@ type Options struct {
 	// value-numbered again (0 = unlimited; see symbolic.Builder).
 	MaxExprSize int
 	// Memo, when non-nil, memoizes per-procedure substitution results
-	// across Run calls: a Lookup hit skips the procedure entirely;
-	// fresh results are offered back via Store. Lookup is called
-	// concurrently and must be read-only; Store must be safe for
-	// concurrent use. Stored replacement maps must never be mutated.
+	// across Run calls (see Memo).
 	Memo Memo
 	// Parallelism bounds the worker goroutines counting procedures
 	// concurrently: <= 0 selects GOMAXPROCS, 1 is serial. Counts and
@@ -71,65 +68,83 @@ type Options struct {
 	Parallelism int
 }
 
-// Memo caches per-procedure substitution results across Run calls. See
-// Options.Memo.
+// Memo caches per-procedure substitution decisions across Run calls.
+// Lookup returns p's decision from an earlier run and whether it holds
+// for this run; a decision that holds stands in for counting p. Lookup
+// is called concurrently and must be read-only. Run then calls Store,
+// serially, with every decision it made. Decisions are never mutated
+// once made, so results share them.
 type Memo interface {
-	Lookup(p *sem.Procedure) (count int, repl map[ast.Expr]string, ok bool)
-	Store(p *sem.Procedure, count int, repl map[ast.Expr]string)
+	Lookup(p *sem.Procedure) (d Decision, ok bool)
+	Store(p *sem.Procedure, d Decision)
+}
+
+// Decision is one procedure's substitutions: how many uses it
+// substitutes, and each use's constant text.
+type Decision struct {
+	Count int
+	Repl  map[ast.Expr]string
 }
 
 // Result reports what was (or would be) substituted.
 type Result struct {
-	// PerProc counts substituted uses per procedure.
-	PerProc map[*sem.Procedure]int
+	// Procs lists the program's procedures in call-graph order, and
+	// Decisions each one's substitutions, index for index.
+	Procs     []*sem.Procedure
+	Decisions []Decision
 	// Total is the program-wide count — the number reported in the
 	// paper's Tables 2 and 3.
 	Total int
-	// Replacements maps each substituted use to its constant text,
-	// ready for ast.WriteFileSubst.
-	Replacements map[ast.Expr]string
 	// Reanalyzed is how many procedures were value-numbered again,
 	// rather than counted from Options.Intra or answered by Options.Memo.
 	Reanalyzed int
 }
 
+// Replacements maps each substituted use to its constant text, ready
+// for ast.WriteFileSubst.
+func (r *Result) Replacements() map[ast.Expr]string {
+	out := make(map[ast.Expr]string, r.Total)
+	for _, d := range r.Decisions {
+		for k, v := range d.Repl {
+			out[k] = v
+		}
+	}
+	return out
+}
+
 // Run counts (and records) constant substitutions for the whole
 // program under the given configuration, over the SSA forms in forms
-// (which must carry the kill assumptions opts.UseMOD selects).
+// (which must carry the kill assumptions opts.UseMOD selects). A
+// procedure the memo answers shares its decision with the run that
+// made it.
 func Run(cg *callgraph.Graph, mod *modref.Info, forms *ssa.Table, opts Options) *Result {
 	defer guard.Repanic("subst")
 	guard.InjectPanic("subst")
-	res := &Result{
-		PerProc:      make(map[*sem.Procedure]int),
-		Replacements: make(map[ast.Expr]string),
-	}
-	workers := par.Workers(opts.Parallelism, len(cg.Order))
-	counts := make([]int, len(cg.Order))
-	repls := make([]map[ast.Expr]string, len(cg.Order))
-	reran := make([]bool, len(cg.Order))
-	_ = par.ForEach(workers, len(cg.Order), func(i int) error {
-		n := cg.Order[i]
+	n := len(cg.Order)
+	res := &Result{Procs: make([]*sem.Procedure, n), Decisions: make([]Decision, n)}
+	fresh := make([]bool, n)
+	reran := make([]bool, n)
+	_ = par.ForEach(par.Workers(opts.Parallelism, n), n, func(i int) error {
+		p := cg.Order[i].Proc
+		res.Procs[i] = p
 		if opts.Memo != nil {
-			if count, repl, ok := opts.Memo.Lookup(n.Proc); ok {
-				counts[i], repls[i] = count, repl
+			if d, ok := opts.Memo.Lookup(p); ok {
+				res.Decisions[i] = d
 				return nil
 			}
 		}
-		repls[i] = make(map[ast.Expr]string)
-		counts[i], reran[i] = substProcGuarded(cg, mod, forms, i, opts, repls[i])
-		if opts.Memo != nil {
-			opts.Memo.Store(n.Proc, counts[i], repls[i])
-		}
+		d := Decision{Repl: make(map[ast.Expr]string)}
+		d.Count, reran[i] = substProcGuarded(cg, mod, forms, i, opts, d.Repl)
+		res.Decisions[i], fresh[i] = d, true
 		return nil
 	})
-	for i, n := range cg.Order {
-		res.PerProc[n.Proc] = counts[i]
-		res.Total += counts[i]
+	for i, d := range res.Decisions {
+		res.Total += d.Count
 		if reran[i] {
 			res.Reanalyzed++
 		}
-		for k, v := range repls[i] {
-			res.Replacements[k] = v
+		if fresh[i] && opts.Memo != nil {
+			opts.Memo.Store(res.Procs[i], d)
 		}
 	}
 	return res

@@ -47,8 +47,8 @@ END
 	if res.Total != 3 {
 		t.Errorf("total = %d, want 3", res.Total)
 	}
-	if res.PerProc[prog.Main] != 3 {
-		t.Errorf("per-proc = %v", res.PerProc)
+	if res.Procs[0] != prog.Main || res.Decisions[0].Count != 3 {
+		t.Errorf("per-proc = %v", res.Decisions)
 	}
 }
 
@@ -120,12 +120,12 @@ END
 	// anyway); lhs positions; the DO variable I (non-constant anyway).
 	if res.Total != 5 {
 		var b strings.Builder
-		_ = ast.WriteFileSubst(&b, f, res.Replacements)
+		_ = ast.WriteFileSubst(&b, f, res.Replacements())
 		t.Errorf("total = %d, want 5\n%s", res.Total, b.String())
 	}
 	// Verify OUT's argument survived substitution.
 	var b strings.Builder
-	_ = ast.WriteFileSubst(&b, f, res.Replacements)
+	_ = ast.WriteFileSubst(&b, f, res.Replacements())
 	out := b.String()
 	if !strings.Contains(out, "CALL OUT(K)") {
 		t.Errorf("out-parameter actual must not be substituted:\n%s", out)
@@ -198,7 +198,7 @@ END
 `
 	res, _, f := run(t, src, Options{UseMOD: true})
 	var b strings.Builder
-	_ = ast.WriteFileSubst(&b, f, res.Replacements)
+	_ = ast.WriteFileSubst(&b, f, res.Replacements())
 	out := b.String()
 	if !strings.Contains(out, "10 - (-3)") {
 		t.Errorf("negative substitution must parenthesize:\n%s", out)

@@ -375,8 +375,8 @@ func (r *Result) SubstitutionCount() int {
 // SubstitutionCounts reports the per-procedure breakdown.
 func (r *Result) SubstitutionCounts() map[string]int {
 	out := make(map[string]int)
-	for p, n := range r.subst.PerProc {
-		if n > 0 {
+	for i, p := range r.subst.Procs {
+		if n := r.subst.Decisions[i].Count; n > 0 {
 			out[p.Name] = n
 		}
 	}

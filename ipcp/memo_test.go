@@ -297,7 +297,12 @@ const nqzUnit = "      SUBROUTINE NQZADD(N)\n      INTEGER N\n      N = 3\n     
 // them is kept. Fresh caches then take structural edits: a
 // unit appended; a unit inserted in the middle with a caller; that unit
 // removed again with the call; and that unit removed while still
-// called, which no derivation may accept. Every program of the suite,
+// called, which no derivation may accept. The cutoff cases of
+// internal/session/testdata/cutoff, each an edit a caller sees or not
+// through return jump functions, MOD sets, forward jump functions, DATA
+// or a new call edge, run under every configuration. After every
+// derived analysis the world's artifacts must refer to its own
+// procedures only. Every program of the suite,
 // the recursion program, the session effects program and entrydep.f
 // are edited under the first configuration of derivedConfigs, and all
 // but the suite's under every other one, with linpackd. In entrydep.f
@@ -328,8 +333,24 @@ func TestCacheDerivedEdits(t *testing.T) {
 				derivedEdits(t, pr.name+".f", pr.src, nc.cfg, applied)
 			})
 		}
+		t.Run(nc.name+"/cutoff", func(t *testing.T) {
+			for _, c := range []string{"body", "summary", "mod", "forward", "data", "recursive"} {
+				from, err := os.ReadFile(filepath.Join("..", "internal", "session", "testdata", "cutoff", c+".f"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				to, err := os.ReadFile(filepath.Join("..", "internal", "session", "testdata", "cutoff", c+".edited.f"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				cache := NewCache(CacheOptions{})
+				analyzeCachedAt(t, cache, c+".f", string(from), nc.cfg, nc.cfg.Parallelism)
+				checkDerived(t, cache, c+".f", string(to), nc.cfg, "cutoff "+c)
+				applied["cutoff"]++
+			}
+		})
 	}
-	for _, kind := range []string{"formal-write", "common-write", "common-read", "call", "shifted", "far-apart", "append", "insert", "remove", "remove-called"} {
+	for _, kind := range []string{"formal-write", "common-write", "common-read", "call", "shifted", "far-apart", "append", "insert", "remove", "remove-called", "cutoff"} {
 		if applied[kind] == 0 {
 			t.Errorf("no %s edit applied", kind)
 		}
@@ -356,14 +377,7 @@ func derivedEdits(t *testing.T, name, src string, cfg Config, applied map[string
 	}
 	check := func(cache *Cache, label, text string) {
 		t.Helper()
-		want := analyzeAt(t, name, text, cfg, cfg.Parallelism)
-		before := cache.Stats().Derived
-		if got := analyzeCachedAt(t, cache, name, text, cfg, cfg.Parallelism); got != want {
-			t.Fatalf("%s: cached output diverges from uncached\nuncached:\n%s\ncached:\n%s", label, want, got)
-		}
-		if got := cache.Stats().Derived; got != before+1 {
-			t.Fatalf("%s: derived %d worlds, want 1", label, got-before)
-		}
+		checkDerived(t, cache, name, text, cfg, label)
 	}
 
 	// The last unit, and the middle one of those that can hold their
@@ -457,6 +471,90 @@ func derivedEdits(t *testing.T, name, src string, cfg Config, applied map[string
 		t.Fatalf("remove-called: cached error %q, uncached %q, derived %d", errStr(got), errStr(want), cache.Stats().Derived)
 	}
 	applied["remove-called"]++
+}
+
+// TestCacheDerivedChainAcrossConfigs derives a chain of texts, each
+// from the one before by an edit of LEAF in effects.f, and analyzes
+// each under only some of four configurations: two share jump functions
+// but not a solver, one shares them but not a domain, and one has jump
+// functions of its own. A world's first analysis under a configuration
+// then starts from products, tables, solutions and decisions carried
+// across several edits it was never analyzed at. Every result must
+// match an uncached analysis, and the last world's artifacts must refer
+// to its own procedures once every configuration has analyzed it.
+func TestCacheDerivedChainAcrossConfigs(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("..", "internal", "session", "testdata", "effects.f"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunks, ok := memo.Split("effects.f", string(src))
+	if !ok || len(chunks) != 4 {
+		t.Fatal("effects.f does not split into 4 units")
+	}
+	base := Config{Kind: Polynomial, UseMOD: true, UseReturnJFs: true, Parallelism: 1}
+	cfgs := []Config{base, base, base, base}
+	cfgs[1].Solver = BindingGraph
+	cfgs[2].Domain = "interval"
+	cfgs[3].Kind = PassThrough
+	cache := NewCache(CacheOptions{})
+	for _, c := range cfgs {
+		analyzeCachedAt(t, cache, "effects.f", string(src), c, 1)
+	}
+	stmts := []string{"N = %d", "G = %d", "PRINT *, G + %d", "CALL OTHER(M + %d)", "M = N + %d"}
+	var text string
+	for i := range 3 * len(stmts) {
+		stmt := fmt.Sprintf(stmts[i%len(stmts)], i)
+		text = chunks[0].Text + chunks[1].Text + strings.Replace(chunks[2].Text, "CONTINUE", stmt, 1) + chunks[3].Text
+		derived := cache.Stats().Derived
+		for j, c := range cfgs {
+			if j != i%len(cfgs) && (i+j)%3 != 0 {
+				continue
+			}
+			if got, want := analyzeCachedAt(t, cache, "effects.f", text, c, 1), analyzeAt(t, "effects.f", text, c, 1); got != want {
+				t.Fatalf("edit %d (%s), configuration %d: cached output diverges from uncached\nuncached:\n%s\ncached:\n%s", i, stmt, j, want, got)
+			}
+		}
+		if got := cache.Stats().Derived; got != derived+1 {
+			t.Fatalf("edit %d (%s): derived %d worlds, want 1", i, stmt, got-derived)
+		}
+	}
+	for _, c := range cfgs {
+		analyzeCachedAt(t, cache, "effects.f", text, c, 1)
+	}
+	auditWorld(t, cache, "effects.f", text, "the last edit")
+}
+
+// checkDerived analyzes text with the cache, which must derive its
+// world from a cached one, and requires the output of an uncached
+// analysis and a world whose artifacts refer to its own procedures
+// only (auditWorld): the cache is used under cfg alone.
+func checkDerived(t *testing.T, cache *Cache, name, text string, cfg Config, label string) {
+	t.Helper()
+	want := analyzeAt(t, name, text, cfg, cfg.Parallelism)
+	before := cache.Stats().Derived
+	if got := analyzeCachedAt(t, cache, name, text, cfg, cfg.Parallelism); got != want {
+		t.Fatalf("%s: cached output diverges from uncached\nuncached:\n%s\ncached:\n%s", label, want, got)
+	}
+	if got := cache.Stats().Derived; got != before+1 {
+		t.Fatalf("%s: derived %d worlds, want 1", label, got-before)
+	}
+	auditWorld(t, cache, name, text, label)
+}
+
+// auditWorld requires the cached world of text to refer to its own
+// procedures only.
+func auditWorld(t *testing.T, cache *Cache, name, text, label string) {
+	t.Helper()
+	w, _, ok := cache.c.Lookup([]memo.File{{Name: name, Src: text}})
+	if !ok {
+		t.Fatalf("%s: no world for the derived text", label)
+	}
+	w.Procs(func(where string, p *sem.Procedure) {
+		t.Helper()
+		if p == nil || w.Prog().Procs[p.Name] != p {
+			t.Fatalf("%s: the world's %s holds a stale procedure", label, where)
+		}
+	})
 }
 
 // scalarActual returns p's first scalar integer formal or COMMON

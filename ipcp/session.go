@@ -34,13 +34,20 @@ type EditInfo struct {
 	// FastPath is true when the edited program was derived from the
 	// resident one instead of re-analyzed from its text.
 	FastPath bool `json:"fast_path"`
-	// UnitsInvalidated is the blast-radius size (fast path) or the whole
-	// unit count (rebuild).
+	// UnitsInvalidated is the blast-radius size (fast path): the units
+	// the edit may reach, the edited ones and their transitive callers,
+	// an upper bound on those re-analyzed; or the whole unit count
+	// (rebuild).
 	UnitsInvalidated int `json:"units_invalidated"`
-	// ContextsReused counts value-context replays during the re-analysis.
+	// ContextsReused counts value-context replays during the
+	// re-analysis. An edit that changes no forward jump function keeps
+	// the solution and replays none.
 	ContextsReused int `json:"contexts_reused"`
-	// JumpReused and SubstReused count per-procedure artifacts reused in
-	// place.
+	// JumpReused counts the units whose jump functions the re-analysis
+	// kept: every unit outside the blast radius, and each caller inside
+	// it that no callee's change reached. SubstReused counts those of
+	// them whose substitutions it kept, because their VAL sets held.
+	// Complete propagation keeps neither.
 	JumpReused  int `json:"jump_reused"`
 	SubstReused int `json:"subst_reused"`
 	// DeltaBytes is the raw size of the call's edit payloads.

@@ -172,6 +172,29 @@ func FuzzSessionDelta(f *testing.F) {
 		f.Add(string(effects), uint8(0), uint8(2), with, uint8(0), uint8(2), leaf)
 		f.Add(string(effects), uint8(0), uint8(2), with, uint8(0), uint8(2), next)
 	}
+	// The cutoff cases: each edits one unit, then replaces it with the
+	// same text, so the final text is the edited one.
+	cutoff, _ := filepath.Glob(filepath.Join("..", "internal", "session", "testdata", "cutoff", "*.edited.f"))
+	if len(cutoff) == 0 {
+		f.Fatal("no cutoff cases under ../internal/session/testdata/cutoff")
+	}
+	for _, path := range cutoff {
+		from, err := os.ReadFile(strings.TrimSuffix(path, ".edited.f") + ".f")
+		if err != nil {
+			f.Fatal(err)
+		}
+		to, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		a, _ := memo.Split("fuzz.f", string(from))
+		b, _ := memo.Split("fuzz.f", string(to))
+		for i := range min(len(a), len(b)) {
+			if a[i].Text != b[i].Text {
+				f.Add(string(from), uint8(0), uint8(i), b[i].Text, uint8(0), uint8(i), b[i].Text)
+			}
+		}
+	}
 	f.Add(sessionTestSrc, uint8(0), uint8(2), "SUBROUTINE LEAF(N, M)\nINTEGER N, M\nPRINT *, N - M\nEND\n\n", uint8(2), uint8(3), "")
 	f.Add(sessionTestSrc, uint8(0), uint8(0), "PROGRAM MAIN\nCALL TOP(1, 2)\nEND\n\n", uint8(0), uint8(2), "oops(")
 	f.Add(emptyUnitSrc, uint8(0), uint8(0), "", uint8(0), uint8(0), "")
