@@ -24,13 +24,19 @@ race:
 # element vectors at every registered abstract domain's lattice laws
 # (meet commutativity/associativity/idempotence, ⊤/⊥ identities,
 # widening descent); the analysis fuzzers are seeded from
-# internal/core/testdata/*.f (FuzzSessionDelta additionally checks that
-# any session edit sequence matches a cold analysis of the final text);
-# the job-manifest fuzzer is seeded with handwritten batch JSON. All
-# must stay crash-free.
+# internal/core/testdata/*.f (FuzzParse additionally checks that a unit
+# parsed alone at its line gets the positions of the whole text's parse,
+# FuzzSessionDelta that any session edit sequence matches a cold
+# analysis of the final text); FuzzFrontEnd round-trips accepted
+# programs through the writer; FuzzStructCompareOrder checks that the
+# structural expression order is a strict weak order independent of
+# interning order; the job-manifest fuzzer is seeded with handwritten
+# batch JSON. All must stay crash-free.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDomainLaws -fuzztime=$(FUZZTIME) ./internal/domain
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/parser
+	$(GO) test -run='^$$' -fuzz=FuzzFrontEnd -fuzztime=$(FUZZTIME) ./internal/parser
+	$(GO) test -run='^$$' -fuzz=FuzzStructCompareOrder -fuzztime=$(FUZZTIME) ./internal/symbolic
 	$(GO) test -run='^$$' -fuzz=FuzzAnalyze -fuzztime=$(FUZZTIME) ./ipcp
 	$(GO) test -run='^$$' -fuzz=FuzzSessionDelta -fuzztime=$(FUZZTIME) ./ipcp
 	$(GO) test -run='^$$' -fuzz=FuzzJobManifest -fuzztime=$(FUZZTIME) ./internal/serve

@@ -56,16 +56,21 @@ func Build(prog *sem.Program) *Graph { return BuildReuse(prog, nil) }
 // BuildReuse is Build with per-procedure CFG reuse: a procedure of
 // prev's program keeps its already-built CFG (and therefore its
 // *CallSite identities), wherever it now sits; every other procedure
-// gets a fresh cfg.Build. Everything downstream — edge wiring, SCC
-// numbering, recursion marking — is recomputed from scratch, so the
-// resulting Graph is indistinguishable from Build's for equal bodies.
-// The replace step of incremental analysis uses this to rebuild the
-// call graph after an edit without re-walking every unchanged body. A
-// nil prev reuses nothing.
+// gets a fresh cfg.Build. The replace step of incremental analysis uses
+// this to rebuild the call graph after an edit without re-walking every
+// unchanged body. A nil prev reuses nothing.
+//
+// When every procedure sits at its prev index under the same name and
+// calls the same callees in the same order, no edge moved: the graph is
+// derived from prev, copying its components, recursion marks and walk
+// orders, and its In lists but those of the replaced procedures'
+// callees. Otherwise edges, components and orders are computed from
+// scratch. Either way the result is indistinguishable from Build's.
 func BuildReuse(prog *sem.Program, prev *Graph) *Graph {
 	nodes := make([]Node, len(prog.Order))
 	g := &Graph{Prog: prog, Nodes: make(map[string]*Node, len(nodes)), Order: make([]*Node, len(nodes))}
 	nsites := 0
+	aligned := prev != nil && len(prev.Order) == len(nodes)
 	for i, p := range prog.Order {
 		var c *cfg.Graph
 		if j := prevIndex(prev, i, p); j >= 0 {
@@ -78,10 +83,17 @@ func BuildReuse(prog *sem.Program, prev *Graph) *Graph {
 		g.Nodes[p.Name] = n
 		g.Order[i] = n
 		nsites += len(c.Sites)
+		aligned = aligned && sameSites(prev.Order[i], n)
 	}
 	callees := make([]*Node, nsites)
 	for _, n := range g.Order {
 		n.Callees, callees = callees[:len(n.Out):len(n.Out)], callees[len(n.Out):]
+	}
+	if aligned {
+		g.derive(prev)
+		return g
+	}
+	for _, n := range g.Order {
 		for k, site := range n.Out {
 			if callee := g.Nodes[site.Callee]; callee != nil {
 				n.Callees[k] = callee
@@ -97,6 +109,67 @@ func BuildReuse(prog *sem.Program, prev *Graph) *Graph {
 	g.topDown = slices.Clone(g.bottomUp)
 	slices.Reverse(g.topDown)
 	return g
+}
+
+// sameSites reports whether n, a node of a graph being built, names
+// the procedure m named and calls the same callees in the same order.
+func sameSites(m, n *Node) bool {
+	if m.CFG == n.CFG {
+		return true
+	}
+	if m.Proc.Name != n.Proc.Name || len(m.Out) != len(n.Out) {
+		return false
+	}
+	for k, s := range m.Out {
+		if s.Callee != n.Out[k].Callee {
+			return false
+		}
+	}
+	return true
+}
+
+// derive completes g from prev, whose nodes g's match index for index
+// (sameSites). Callees, components, recursion marks and walk orders
+// carry over by index. A kept procedure's call sites are prev's, so an
+// In list is shared with prev unless a replaced procedure calls the
+// node: then the list is copied and each old site of the replaced
+// procedure swapped for its new one, which keeps Build's order (caller
+// index, then site order).
+func (g *Graph) derive(prev *Graph) {
+	g.NumSCCs = prev.NumSCCs
+	for i, n := range g.Order {
+		m := prev.Order[i]
+		for k, c := range m.Callees {
+			if c != nil {
+				n.Callees[k] = g.Order[c.Index]
+			}
+		}
+		n.In, n.SCC, n.Recursive = m.In, m.SCC, m.Recursive
+	}
+	for i, n := range g.Order {
+		m := prev.Order[i]
+		if m.CFG == n.CFG {
+			continue
+		}
+		for k, c := range n.Callees {
+			if c == nil {
+				continue
+			}
+			in := prev.Order[c.Index].In
+			if &c.In[0] == &in[0] { // still shared with prev
+				c.In = slices.Clone(in)
+			}
+			c.In[slices.Index(in, m.Out[k])] = n.Out[k]
+		}
+	}
+	g.bottomUp = make([]*Node, 2*len(g.Order))
+	g.bottomUp, g.topDown = g.bottomUp[:len(g.Order):len(g.Order)], g.bottomUp[len(g.Order):]
+	for i, m := range prev.bottomUp {
+		g.bottomUp[i] = g.Order[m.Index]
+	}
+	for i, m := range prev.topDown {
+		g.topDown[i] = g.Order[m.Index]
+	}
 }
 
 // prevIndex returns p's position in prev's Order, or -1, looking at

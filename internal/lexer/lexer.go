@@ -30,10 +30,8 @@ func Tokenize(file *source.File, diags *source.ErrorList) []Token {
 	lx := New(file, diags)
 	// F77s source measures 2.4-2.9 bytes per token (the benchmark
 	// suite and generated programs), so one token per 2 bytes sizes
-	// the slice once without regrowing it mid-scan. Leading blank lines
-	// produce no tokens and are not counted: a unit parsed alone is
-	// padded with them to its line in the whole program.
-	toks := make([]Token, 0, len(strings.TrimLeft(lx.src, "\n"))/2+16)
+	// the slice once without regrowing it mid-scan.
+	toks := make([]Token, 0, len(lx.src)/2+16)
 	for {
 		t := lx.Next()
 		toks = append(toks, t)

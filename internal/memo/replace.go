@@ -2,7 +2,6 @@ package memo
 
 import (
 	"slices"
-	"strings"
 
 	"repro/internal/ast"
 	"repro/internal/callgraph"
@@ -51,14 +50,15 @@ type Delta struct {
 // Replace is the replace step of incremental analysis, the one path by
 // which both the cache and sessions reuse an analyzed program. units
 // lists the edited program's units, as Plan aligns them with f's;
-// Replace parses each new one alone at its absolute line, so its AST
-// holds exactly the positions a parse of the whole text would give,
-// derives the program with them (sem.Program.Derive), and rebuilds the
-// call graph and MOD/REF summaries reusing every kept procedure's CFG
-// and direct effects. The callers in d.Blast are found on f's graph: a
-// kept procedure can call a new one only if it called the unit of that
-// name before, and a path through a new unit's body starts at a unit
-// already in the blast radius.
+// Replace parses each new one alone at its line (source.NewFileAt),
+// derives the program with them (sem.Program.Derive), and derives the
+// call graph and MOD/REF summaries from f's (callgraph.BuildReuse,
+// modref.ComputeReuse): every kept procedure keeps its CFG, and when no
+// call edge moved, what lies outside the blast radius keeps its
+// components, walk orders and summaries. The callers in d.Blast are
+// found on f's graph: a kept procedure can call a new one only if it
+// called the unit of that name before, and a path through a new unit's
+// body starts at a unit already in the blast radius.
 //
 // ok is false when a new unit does not parse alone to exactly one unit
 // (an empty text parses to none), produces any diagnostic, or is
@@ -78,7 +78,7 @@ func Replace(f Front, units []Unit) (d Delta, ok bool) {
 			return Delta{}, false
 		}
 		var diags source.ErrorList
-		uf := parser.ParseSource(u.File, strings.Repeat("\n", u.StartLine-1)+u.Text, &diags)
+		uf := parser.ParseFile(source.NewFileAt(u.File, u.Text, u.StartLine), &diags)
 		if len(diags.Diags) > 0 || len(uf.Units) != 1 {
 			return Delta{}, false
 		}

@@ -259,11 +259,9 @@ func (c *Cache) buildWorld(key, shape string, chunks []Chunk) *world {
 	}
 }
 
-// parseChunk parses one unit chunk, memoized on (file, start line,
-// text). The chunk text is padded with newlines so every token keeps
-// its original line and column; byte offsets shift, but nothing
-// user-visible renders them. A chunk must parse to exactly one unit
-// with no errors to be usable.
+// parseChunk parses one unit chunk at its start line, memoized on
+// (file, start line, text). A chunk must parse to exactly one unit with
+// no errors to be usable.
 func (c *Cache) parseChunk(ch Chunk) *chunkEntry {
 	key := hashStrings(ch.File, fmt.Sprint(ch.StartLine), ch.Text)
 	c.mu.Lock()
@@ -276,9 +274,8 @@ func (c *Cache) parseChunk(ch Chunk) *chunkEntry {
 	c.misses.Add(1)
 	c.mu.Unlock()
 
-	padded := strings.Repeat("\n", ch.StartLine-1) + ch.Text
 	var diags source.ErrorList
-	f := parser.ParseSource(ch.File, padded, &diags)
+	f := parser.ParseFile(source.NewFileAt(ch.File, ch.Text, ch.StartLine), &diags)
 	if diags.Err() != nil || len(f.Units) != 1 {
 		return nil
 	}

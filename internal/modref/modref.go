@@ -38,14 +38,15 @@ type Info struct {
 
 	// globals is the Globals() order the global sets are numbered by.
 	globals []*sem.GlobalVar
-	// sums holds one summary per node, indexed by callgraph.Node.Index.
-	sums []summary
+	// sums holds one summary per node, indexed by callgraph.Node.Index,
+	// collected from the node's CFG. An Info derived from another shares
+	// the summaries an edit cannot change (see ComputeReuse). A summary
+	// is never written once its Info is built.
+	sums []*summary
 }
 
 // summary is one procedure's side effects.
 type summary struct {
-	// cfg is the graph the direct sets were collected from.
-	cfg *cfg.Graph
 	// direct holds the body's own effects; closed adds the callees'.
 	direct, closed sets
 	// binds lists the actuals that name one of the procedure's formals
@@ -69,7 +70,7 @@ type binding struct {
 // summary returns p's summary, or nil if p is not a node of the graph.
 func (in *Info) summary(p *sem.Procedure) *summary {
 	if n := in.Graph.Nodes[p.Name]; n != nil && n.Proc == p {
-		return &in.sums[n.Index]
+		return in.sums[n.Index]
 	}
 	return nil
 }
@@ -127,13 +128,18 @@ func (in *Info) Kills(site *cfg.CallSite) (formals, globals bitset.Set, all bool
 // Compute runs the analysis to fixpoint over the call graph.
 func Compute(cg *callgraph.Graph) *Info { return newInfo(cg, nil) }
 
-// ComputeReuse is Compute reusing prev's direct effects: a procedure
-// whose node kept the CFG prev's summary was collected from copies the
-// direct sets instead of walking the body again. Nothing is reused
-// unless cg's Prog.Globals() equals prev's element for element, since
-// the global sets are indexed by position. The closed sets are always
-// rebuilt from the direct ones, so an effect an edit removed leaves the
-// callers too. The result equals Compute(cg).
+// ComputeReuse is Compute reusing prev's summaries, for a graph the
+// replace step derived from prev's. A component of cg whose members
+// kept the CFGs prev's summaries were collected from, and whose callees
+// outside it share prev's summaries too, shares prev's summaries: their
+// closed sets are the same fixpoint of the same inputs. That is every
+// component outside the edit's blast radius. Every other procedure gets
+// a fresh summary, sharing prev's direct sets and bindings when it kept
+// its CFG, and every fresh component is closed again from the direct
+// sets, so an effect an edit removed leaves every caller too. Nothing
+// is reused unless cg's Prog.Globals() equals prev's element for
+// element, since the global sets are indexed by position. The result
+// equals Compute(cg).
 func ComputeReuse(cg *callgraph.Graph, prev *Info) *Info { return newInfo(cg, prev) }
 
 func newInfo(cg *callgraph.Graph, prev *Info) *Info {
@@ -141,18 +147,35 @@ func newInfo(cg *callgraph.Graph, prev *Info) *Info {
 	if prev != nil && !slices.Equal(prev.globals, globals) {
 		prev = nil
 	}
-	in := &Info{Graph: cg, globals: globals, sums: make([]summary, len(cg.Order))}
+	in := &Info{Graph: cg, globals: globals, sums: make([]*summary, len(cg.Order))}
+	order := cg.BottomUp()
 
-	// Every set is carved from one slab, and every binding list from
-	// another (a procedure has at most one binding per actual).
+	// Share what prev can give, callees' components first, and size the
+	// slabs every fresh summary is carved from: one for the summaries,
+	// one for their sets and one for their bindings (a procedure has at
+	// most one binding per actual).
 	gw := bitset.Words(len(globals))
-	nwords, nargs := 0, 0
-	for _, n := range cg.Order {
-		nwords += 4 * (bitset.Words(len(n.Proc.Formals)) + gw)
-		for _, site := range n.Out {
-			nargs += len(site.Args)
+	nfresh, nwords, nargs := 0, 0, 0
+	for lo, hi := 0, 0; lo < len(order); lo = hi {
+		hi = componentEnd(order, lo)
+		if in.share(prev, order[lo:hi]) {
+			continue
+		}
+		for _, n := range order[lo:hi] {
+			w := 2 * (bitset.Words(len(n.Proc.Formals)) + gw)
+			nfresh, nwords = nfresh+1, nwords+w
+			if prev.node(n) == nil {
+				nwords += w
+				for _, site := range n.Out {
+					nargs += len(site.Args)
+				}
+			}
 		}
 	}
+	if nfresh == 0 {
+		return in
+	}
+	fresh := make([]summary, nfresh)
 	words := make(bitset.Set, nwords)
 	carve := func(n int) bitset.Set {
 		s := words[:n:n]
@@ -160,38 +183,85 @@ func newInfo(cg *callgraph.Graph, prev *Info) *Info {
 		return s
 	}
 	binds := make([]binding, 0, nargs)
-	for i, n := range cg.Order {
-		s := &in.sums[i]
-		s.cfg = n.CFG
-		fw := bitset.Words(len(n.Proc.Formals))
-		s.direct = sets{carve(fw), carve(fw), carve(gw), carve(gw)}
-		s.closed = sets{carve(fw), carve(fw), carve(gw), carve(gw)}
-		lo := len(binds)
-		if old := prev.reusable(n); old != nil {
-			s.direct.copyFrom(&old.direct)
-			binds = append(binds, old.binds...)
-		} else {
+	for lo, hi := 0, 0; lo < len(order); lo = hi {
+		hi = componentEnd(order, lo)
+		comp := order[lo:hi]
+		if in.sums[comp[0].Index] != nil {
+			continue // shared
+		}
+		for _, n := range comp {
+			s := &fresh[0]
+			fresh = fresh[1:]
+			in.sums[n.Index] = s
+			fw := bitset.Words(len(n.Proc.Formals))
+			s.closed = sets{carve(fw), carve(fw), carve(gw), carve(gw)}
+			if m := prev.node(n); m != nil {
+				old := prev.sums[m.Index]
+				s.direct, s.binds = old.direct, old.binds
+				continue
+			}
+			s.direct = sets{carve(fw), carve(fw), carve(gw), carve(gw)}
+			at := len(binds)
 			collectDirect(n, &s.direct)
 			binds = appendBindings(binds, n)
+			s.binds = binds[at:len(binds):len(binds)]
 		}
-		s.binds = binds[lo:len(binds):len(binds)]
+		in.close(comp)
 	}
-	in.close()
 	return in
 }
 
-// reusable returns in's summary of n's procedure if its direct sets
-// were collected from n's CFG, or nil.
-func (in *Info) reusable(n *callgraph.Node) *summary {
+// componentEnd returns the end of the component that starts at
+// order[lo], for order in BottomUp's order.
+func componentEnd(order []*callgraph.Node, lo int) int {
+	hi := lo + 1
+	for hi < len(order) && order[hi].SCC == order[lo].SCC {
+		hi++
+	}
+	return hi
+}
+
+// share installs prev's summaries for comp, a component of in's graph
+// whose callees' components are settled, and reports true, when every
+// member kept the CFG its prev summary was collected from and every
+// callee outside comp shares prev's summary as well: a site without a
+// callee must have had none in prev either.
+func (in *Info) share(prev *Info, comp []*callgraph.Node) bool {
+	if prev == nil {
+		return false
+	}
+	for _, n := range comp {
+		m := prev.node(n)
+		if m == nil {
+			return false
+		}
+		for k, q := range n.Callees {
+			switch {
+			case (q == nil) != (m.Callees[k] == nil):
+				return false
+			case q != nil && q.SCC != n.SCC && in.sums[q.Index] == nil:
+				return false
+			}
+		}
+	}
+	for _, n := range comp {
+		in.sums[n.Index] = prev.sums[prev.node(n).Index]
+	}
+	return true
+}
+
+// node returns in's node of n's procedure if it has n's CFG, and so
+// in's summary of it was collected from n's CFG; otherwise nil.
+func (in *Info) node(n *callgraph.Node) *callgraph.Node {
 	if in == nil {
 		return nil
 	}
-	i := n.Index
-	if i >= len(in.sums) || in.sums[i].cfg != n.CFG {
-		i = in.Graph.Prog.ProcIndex(n.Proc)
+	g := in.Graph
+	if i := n.Index; i < len(g.Order) && g.Order[i].CFG == n.CFG {
+		return g.Order[i]
 	}
-	if i >= 0 && in.sums[i].cfg == n.CFG {
-		return &in.sums[i]
+	if i := g.Prog.ProcIndex(n.Proc); i >= 0 && g.Order[i].CFG == n.CFG {
+		return g.Order[i]
 	}
 	return nil
 }
@@ -312,33 +382,24 @@ func appendBindings(binds []binding, n *callgraph.Node) []binding {
 	return binds
 }
 
-// close computes every closed set from the direct sets, one SCC at a
-// time in bottom-up order: a component's callees outside it are final
-// by then, so a non-recursive procedure takes one pass and a recursive
-// component iterates to its fixpoint.
-func (in *Info) close() {
-	order := in.Graph.BottomUp()
-	for lo := 0; lo < len(order); {
-		hi := lo + 1
-		for hi < len(order) && order[hi].SCC == order[lo].SCC {
-			hi++
-		}
-		comp := order[lo:hi]
-		lo = hi
+// close computes the closed sets of comp, a component whose callees'
+// components are closed, from its direct sets: a non-recursive
+// procedure takes one pass and a recursive component iterates to its
+// fixpoint.
+func (in *Info) close(comp []*callgraph.Node) {
+	for _, n := range comp {
+		s := in.sums[n.Index]
+		s.closed.copyFrom(&s.direct)
+	}
+	if len(comp) == 1 && !comp[0].Recursive {
+		in.closeNode(comp[0])
+		return
+	}
+	for changed := true; changed; {
+		changed = false
 		for _, n := range comp {
-			s := &in.sums[n.Index]
-			s.closed.copyFrom(&s.direct)
-		}
-		if len(comp) == 1 && !comp[0].Recursive {
-			in.closeNode(comp[0])
-			continue
-		}
-		for changed := true; changed; {
-			changed = false
-			for _, n := range comp {
-				if in.closeNode(n) {
-					changed = true
-				}
+			if in.closeNode(n) {
+				changed = true
 			}
 		}
 	}
@@ -347,7 +408,7 @@ func (in *Info) close() {
 // closeNode propagates callee effects to the caller across each call
 // site in n, returning whether anything was added.
 func (in *Info) closeNode(n *callgraph.Node) bool {
-	s := &in.sums[n.Index]
+	s := in.sums[n.Index]
 	c := &s.closed
 	changed := false
 	// Reference-parameter binding.

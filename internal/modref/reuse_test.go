@@ -4,11 +4,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/ast"
 	"repro/internal/callgraph"
+	"repro/internal/cfg"
 	"repro/internal/gen"
 	"repro/internal/memo"
 	"repro/internal/modref"
@@ -147,15 +150,213 @@ func insertStmt(t *testing.T, text, stmt string) string {
 	return strings.Join(lines[:at], "") + stmt + "\n" + strings.Join(lines[at:], "")
 }
 
+// tweakConstant returns the unit text with its first integer literal
+// in an executable statement incremented, or, in a unit without one,
+// with a PRINT of a constant inserted: an edit that keeps every call
+// site and every effect.
+func tweakConstant(t *testing.T, text string) string {
+	t.Helper()
+	var diags source.ErrorList
+	f := parser.ParseSource("unit.f", text, &diags)
+	if diags.HasErrors() || len(f.Units) != 1 {
+		t.Fatalf("unit does not parse alone:\n%s", text)
+	}
+	var lits []*ast.IntLit
+	ast.WalkStmts(f.Units[0].Body, func(st ast.Stmt) bool {
+		for _, e := range ast.ExprsOf(st) {
+			ast.WalkExpr(e, func(x ast.Expr) bool {
+				if lit, ok := x.(*ast.IntLit); ok {
+					lits = append(lits, lit)
+				}
+				return true
+			})
+		}
+		return true
+	})
+	lines := strings.SplitAfter(text, "\n")
+	for _, lit := range lits {
+		// Skip a literal whose digits are not in the text as written.
+		at := len(strings.Join(lines[:lit.Position.Line-1], "")) + lit.Position.Col - 1
+		digits := strconv.FormatInt(lit.Value, 10)
+		if end := at + len(digits); strings.HasPrefix(text[at:], digits) && (end == len(text) || text[end] < '0' || text[end] > '9') {
+			return text[:at] + strconv.FormatInt(lit.Value+1, 10) + text[end:]
+		}
+	}
+	return insertStmt(t, text, "PRINT *, 1")
+}
+
+// swapCalls returns the unit text with the lines of its first two
+// unlabeled top-level CALL statements of different procedures swapped,
+// an edit that keeps the call sites' count but not their order, or
+// false if the unit has no such pair.
+func swapCalls(t *testing.T, text string) (string, bool) {
+	t.Helper()
+	var diags source.ErrorList
+	f := parser.ParseSource("unit.f", text, &diags)
+	if diags.HasErrors() || len(f.Units) != 1 {
+		t.Fatalf("unit does not parse alone:\n%s", text)
+	}
+	var first *ast.CallStmt
+	for _, st := range f.Units[0].Body {
+		c, ok := st.(*ast.CallStmt)
+		switch {
+		case !ok || c.Label() != "":
+		case first == nil:
+			first = c
+		case c.Name != first.Name && c.Pos().Line != first.Pos().Line:
+			lines := strings.SplitAfter(text, "\n")
+			a, b := first.Pos().Line-1, c.Pos().Line-1
+			lines[a], lines[b] = lines[b], lines[a]
+			return strings.Join(lines, ""), true
+		}
+	}
+	return "", false
+}
+
+// graphDiff compares got, a call graph the replace step derived, with
+// want, callgraph.Build's graph of the same program, node for node, and
+// describes the first difference, or returns "". Build makes CFGs of
+// its own, so call sites compare by caller, site number and callee; a
+// site in got's In lists must moreover be the very site its caller's
+// node in got lists in Out.
+func graphDiff(got, want *callgraph.Graph) string {
+	site := func(s *cfg.CallSite) string { return fmt.Sprintf("%s@%d->%s", s.Caller.Name, s.ID, s.Callee) }
+	sites := func(ss []*cfg.CallSite) string {
+		var b strings.Builder
+		for _, s := range ss {
+			b.WriteString(site(s) + " ")
+		}
+		return b.String()
+	}
+	index := func(n *callgraph.Node) int {
+		if n == nil {
+			return -1
+		}
+		return n.Index
+	}
+	indices := func(ns []*callgraph.Node) []int {
+		out := make([]int, len(ns))
+		for i, n := range ns {
+			out[i] = index(n)
+		}
+		return out
+	}
+	if len(got.Order) != len(want.Order) || got.NumSCCs != want.NumSCCs || len(got.Nodes) != len(got.Order) {
+		return fmt.Sprintf("%d nodes (%d by name) in %d components, want %d in %d",
+			len(got.Order), len(got.Nodes), got.NumSCCs, len(want.Order), want.NumSCCs)
+	}
+	for i, n := range got.Order {
+		w := want.Order[i]
+		switch {
+		case n.Proc != w.Proc || n.Index != i || got.Nodes[n.Proc.Name] != n:
+			return fmt.Sprintf("node %d is %s (index %d), want %s", i, n.Proc.Name, n.Index, w.Proc.Name)
+		case n.SCC != w.SCC || n.Recursive != w.Recursive:
+			return fmt.Sprintf("%s: SCC %d recursive %t, want %d %t", n.Proc.Name, n.SCC, n.Recursive, w.SCC, w.Recursive)
+		case sites(n.Out) != sites(w.Out):
+			return fmt.Sprintf("%s: Out %s, want %s", n.Proc.Name, sites(n.Out), sites(w.Out))
+		case !slices.Equal(indices(n.Callees), indices(w.Callees)):
+			return fmt.Sprintf("%s: callees %v, want %v", n.Proc.Name, indices(n.Callees), indices(w.Callees))
+		case sites(n.In) != sites(w.In):
+			return fmt.Sprintf("%s: In %s, want %s", n.Proc.Name, sites(n.In), sites(w.In))
+		}
+		for _, c := range n.Callees {
+			if c != nil && got.Order[c.Index] != c {
+				return fmt.Sprintf("%s calls a node of another graph", n.Proc.Name)
+			}
+		}
+		for _, s := range n.In {
+			if c := got.Nodes[s.Caller.Name]; c == nil || c.Proc != s.Caller || !slices.Contains(c.Out, s) {
+				return fmt.Sprintf("%s: In site %s is not its caller's", n.Proc.Name, site(s))
+			}
+		}
+	}
+	for _, o := range []struct {
+		name      string
+		got, want []*callgraph.Node
+	}{{"BottomUp", got.BottomUp(), want.BottomUp()}, {"TopDown", got.TopDown(), want.TopDown()}} {
+		if !slices.Equal(indices(o.got), indices(o.want)) {
+			return fmt.Sprintf("%s %v, want %v", o.name, indices(o.got), indices(o.want))
+		}
+		for _, n := range o.got {
+			if got.Order[n.Index] != n {
+				return fmt.Sprintf("%s holds a node of another graph", o.name)
+			}
+		}
+	}
+	return ""
+}
+
+// TestDerivedGraphMatchesBuild tweaks a constant of every unit of the
+// suite programs and of a 256-procedure generated program in turn, each
+// edit derived through memo.Replace from the last one's front, and
+// requires every derived call graph to equal callgraph.Build's graph of
+// the same program. No tweak moves a call edge, so each graph is derived
+// from its donor's (callgraph.BuildReuse shares the In lists no edit
+// touched, which the test checks happened). A unit with two CALL
+// statements of different procedures then has them swapped, which keeps
+// the number of call sites but not their order, and must not be
+// derived.
+func TestDerivedGraphMatchesBuild(t *testing.T) {
+	progs := []program{{"gen1986", gen.Program(gen.Config{Seed: 1986, NumProcs: 256})}}
+	for _, sp := range suite.Programs() {
+		progs = append(progs, program{sp.Name, suite.Source(sp)})
+	}
+	for _, pr := range progs {
+		var diags source.ErrorList
+		prog := sem.Analyze(parser.ParseSource(pr.name, pr.src, &diags), &diags)
+		chunks, ok := memo.Split(pr.name, pr.src)
+		if diags.HasErrors() || !ok || len(chunks) != len(prog.Order) {
+			t.Fatalf("%s: %d chunks for %d procedures, diagnostics %v", pr.name, len(chunks), len(prog.Order), diags.Err())
+		}
+		g := callgraph.Build(prog)
+		fe := memo.Front{Prog: prog, Graph: g, Mod: modref.Compute(g)}
+		shared, swapped := 0, 0
+		derive := func(idx int, text, what string) {
+			t.Helper()
+			units := make([]memo.Unit, len(chunks))
+			for i := range units {
+				units[i].Keep = i
+			}
+			units[idx] = memo.Unit{Keep: -1, Chunk: memo.Chunk{File: pr.name, StartLine: chunks[idx].StartLine, Text: text}}
+			d, ok := memo.Replace(fe, units)
+			if !ok {
+				t.Fatalf("%s: %s %s rejected", pr.name, what, prog.Order[idx].Name)
+			}
+			if diff := graphDiff(d.To.Graph, callgraph.Build(d.To.Prog)); diff != "" {
+				t.Fatalf("%s: after %s %s: %s", pr.name, what, prog.Order[idx].Name, diff)
+			}
+			for i, n := range d.To.Graph.Order {
+				if in := fe.Graph.Order[i].In; len(n.In) > 0 && len(in) > 0 && &n.In[0] == &in[0] {
+					shared++
+				}
+			}
+			fe = d.To
+		}
+		for idx, ch := range chunks {
+			derive(idx, tweakConstant(t, ch.Text), "tweaking")
+			if text, ok := swapCalls(t, ch.Text); ok {
+				derive(idx, text, "swapping two calls of")
+				swapped++
+			}
+		}
+		if shared == 0 && slices.ContainsFunc(g.Order, func(n *callgraph.Node) bool { return len(n.In) > 0 }) {
+			t.Errorf("%s: no derived graph shares an In list with its donor", pr.name)
+		}
+		t.Logf("%s: %d units, %d with two calls swapped, %d In lists shared", pr.name, len(chunks), swapped, shared)
+	}
+}
+
 // TestComputeReuseMatchesCompute applies scripted one-unit replacements
 // through memo.Replace, the replace step sessions and the analysis
 // cache share — sem.Program.Derive, then callgraph.BuildReuse over
 // every other procedure's CFG — and requires modref.ComputeReuse from
-// the previous summaries to equal a fresh modref.Compute bit for bit
-// after every edit. Each script adds, then
-// removes, a write to a formal, a write to a COMMON variable, a read of
-// a COMMON variable and a call, so effects both enter and leave the
-// callers' closed sets.
+// the previous summaries to equal a fresh modref.Compute bit for bit,
+// and the derived call graph to equal callgraph.Build's, after every
+// edit. Each script adds, then removes, a write to a formal, a write to
+// a COMMON variable, a read of a COMMON variable and a call, so effects
+// both enter and leave the callers' closed sets; then it changes a
+// constant, an edit that keeps every effect, so the summaries outside
+// the blast radius are shared, and restores it.
 func TestComputeReuseMatchesCompute(t *testing.T) {
 	applied := make(map[string]int)
 	changed := make(map[string]int)
@@ -177,6 +378,9 @@ func TestComputeReuseMatchesCompute(t *testing.T) {
 			t.Helper()
 			if got, want := dump(prog, info), dump(prog, modref.Compute(cg)); got != want {
 				t.Fatalf("%s: reused summaries\n%s\ndiffer from recomputed ones\n%s", when, got, want)
+			}
+			if diff := graphDiff(cg, callgraph.Build(prog)); diff != "" {
+				t.Fatalf("%s: derived call graph: %s", when, diff)
 			}
 		}
 
@@ -228,6 +432,20 @@ func TestComputeReuseMatchesCompute(t *testing.T) {
 					t.Fatalf("%s: removal left\n%s\nwant\n%s", when, got, before)
 				}
 			}
+			before := dump(prog, info)
+			if !replace(idx, tweakConstant(t, orig)) {
+				t.Fatalf("%s: changing a constant of %s rejected", name, p.Name)
+			}
+			when := fmt.Sprintf("%s: a constant of %s changed", name, p.Name)
+			check(when)
+			if got := dump(prog, info); got != before {
+				t.Fatalf("%s: summaries changed\n%s\nwant\n%s", when, got, before)
+			}
+			if !replace(idx, orig) {
+				t.Fatalf("%s: restoring %s rejected", name, p.Name)
+			}
+			check(when + ", then restored")
+			applied["constant"]++
 		}
 	}
 	for _, kind := range effectKinds {

@@ -27,10 +27,11 @@
 // Every other procedure keeps its artifacts by pointer; a kept caller's
 // call sites are pointed at its callees' new procedures. Nothing
 // outside the radius can see the edit (see memo.Delta), so its recorded
-// value contexts stay valid; those of the radius are dropped. MOD/REF
-// summaries are recomputed every edit from the previous ones: each
-// unedited procedure keeps its direct effects, and every closed set is
-// rebuilt from them.
+// value contexts stay valid; those of the radius are dropped. The call
+// graph and MOD/REF summaries are derived from the previous ones: every
+// kept procedure keeps its CFG, and when no call edge moved, everything
+// outside the radius keeps its components, walk orders and summaries,
+// while the radius's closed sets are rebuilt from the direct ones.
 //
 // Cross-builder discipline: reused jump-function expressions were
 // interned by an earlier analysis's builders. That is safe under the

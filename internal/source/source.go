@@ -10,18 +10,26 @@ import (
 	"strings"
 )
 
-// File is one F77s source file. Line numbers are 1-based, columns are
-// 1-based byte offsets within the line.
+// File is one F77s source file, or a part of one that starts at a
+// later line. Line numbers are 1-based, columns are 1-based byte offsets
+// within the line.
 type File struct {
 	Name    string
 	Content string
 
+	base        int   // the line number of Content's first line, minus 1
 	lineOffsets []int // byte offset of the start of each line
 }
 
 // NewFile builds a File and indexes its line starts.
-func NewFile(name, content string) *File {
-	f := &File{Name: name, Content: content}
+func NewFile(name, content string) *File { return NewFileAt(name, content, 1) }
+
+// NewFileAt builds a File for content that starts at the given 1-based
+// line of the file called name, such as one program unit parsed alone:
+// positions carry the whole file's line numbers and columns, and their
+// offsets count from the start of content.
+func NewFileAt(name, content string, line int) *File {
+	f := &File{Name: name, Content: content, base: line - 1}
 	f.lineOffsets = append(f.lineOffsets, 0)
 	for i := 0; i < len(content); i++ {
 		if content[i] == '\n' {
@@ -31,14 +39,15 @@ func NewFile(name, content string) *File {
 	return f
 }
 
-// NumLines reports the number of lines in the file. A trailing newline
-// does not start a new (empty) line for counting purposes.
+// NumLines reports the number of the file's last line: the number of
+// lines, counted from line 1 of the whole file. A trailing newline does
+// not start a new (empty) line for counting purposes.
 func (f *File) NumLines() int {
 	n := len(f.lineOffsets)
 	if n > 0 && f.lineOffsets[n-1] == len(f.Content) && len(f.Content) > 0 {
-		return n - 1
+		n--
 	}
-	return n
+	return f.base + n
 }
 
 // Pos converts a byte offset into a Position.
@@ -56,7 +65,7 @@ func (f *File) Pos(offset int) Position {
 	if i < 0 {
 		i = 0
 	}
-	return Position{File: f.Name, Line: i + 1, Col: offset - f.lineOffsets[i] + 1, Offset: offset}
+	return Position{File: f.Name, Line: f.base + i + 1, Col: offset - f.lineOffsets[i] + 1, Offset: offset}
 }
 
 // Cursor converts offsets to positions for a reader that moves forward
@@ -83,11 +92,13 @@ func (c *Cursor) Pos(offset int) Position {
 	for c.line+1 < len(ls) && ls[c.line+1] <= offset {
 		c.line++
 	}
-	return Position{File: f.Name, Line: c.line + 1, Col: offset - ls[c.line] + 1, Offset: offset}
+	return Position{File: f.Name, Line: f.base + c.line + 1, Col: offset - ls[c.line] + 1, Offset: offset}
 }
 
-// Line returns the text of the 1-based line n, without its newline.
+// Line returns the text of the 1-based line n, without its newline;
+// empty for a line before the file's first.
 func (f *File) Line(n int) string {
+	n -= f.base
 	if n < 1 || n > len(f.lineOffsets) {
 		return ""
 	}
@@ -104,7 +115,7 @@ type Position struct {
 	File   string
 	Line   int // 1-based
 	Col    int // 1-based
-	Offset int // byte offset in the file
+	Offset int // byte offset in the File's Content
 }
 
 // IsValid reports whether the position carries real location data.
